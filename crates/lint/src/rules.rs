@@ -176,7 +176,9 @@ impl FileScope {
             // radius as the kernels themselves.
             || rel == "crates/phylo/src/fused.rs"
             || rel == "crates/phylo/src/clv_cache.rs"
-            || rel == "crates/multicore/src/persistent.rs"
+            // The multicore kernel dispatch: every rayon-N and
+            // persistent-N call runs through it.
+            || rel == "crates/multicore/src/backend.rs"
             || rel == "crates/cellbe/src/dma.rs"
             || rel == "crates/gpu/src/kernels.rs"
             // The plfd service data path: every queued job flows

@@ -1,10 +1,14 @@
-//! Rayon-based parallel PLF backend — the OpenMP analogue.
+//! The multicore PLF backends — the OpenMP analogue — on one resident
+//! worker team.
 //!
 //! §3.2 of the paper: "parallelize the outermost loop, thus reducing the
 //! parallelization overheads", with one static chunk per core. We do the
-//! same: the pattern loop is split into `n_threads` contiguous chunks,
-//! each processed by the scalar/SIMD range kernels, with rayon's
-//! fork-join standing in for `#pragma omp parallel for`.
+//! same: each call's pattern loop is cut into contiguous chunks, each
+//! processed by the scalar/SIMD range kernels, and the chunks run on a
+//! rayon pool whose threads stay resident between calls, like an OpenMP
+//! thread team. [`RayonBackend`] cuts one chunk per thread (the static
+//! schedule); [`PersistentPoolBackend`](crate::PersistentPoolBackend)
+//! runs the same path with fixed-size chunks the team self-schedules.
 
 use plf_phylo::clv::{Clv, TransitionMatrices};
 use plf_phylo::dna::N_STATES;
@@ -15,11 +19,27 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Parallel host backend over a dedicated rayon pool.
+/// Patterns per self-scheduled chunk, and per thread in a preferred
+/// fused work unit: small enough to balance load and stay in cache,
+/// large enough that claiming a chunk costs next to nothing.
+pub(crate) const CHUNK_PATTERNS: usize = 256;
+
+/// How a call's patterns are cut into pool items.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Chunking {
+    /// One contiguous chunk per thread: OpenMP's static schedule.
+    PerThread,
+    /// [`CHUNK_PATTERNS`]-pattern chunks, claimed as threads free up:
+    /// §4.1.1's TFlux-style self-scheduling.
+    SelfScheduled,
+}
+
+/// Parallel host backend over a dedicated resident rayon pool.
 pub struct RayonBackend {
     pool: rayon::ThreadPool,
     n_threads: usize,
     schedule: Option<SimdSchedule>,
+    chunking: Chunking,
     injector: Option<Arc<FaultInjector>>,
     metrics: Option<Arc<PlfCounters>>,
 }
@@ -38,6 +58,15 @@ impl RayonBackend {
         n_threads: usize,
         schedule: Option<SimdSchedule>,
     ) -> Result<RayonBackend, PlfError> {
+        RayonBackend::with_chunking(n_threads, schedule, Chunking::PerThread)
+    }
+
+    /// Build with an explicit chunk schedule (see [`Chunking`]).
+    pub(crate) fn with_chunking(
+        n_threads: usize,
+        schedule: Option<SimdSchedule>,
+        chunking: Chunking,
+    ) -> Result<RayonBackend, PlfError> {
         if n_threads == 0 {
             return Err(PlfError::Config(
                 "rayon backend needs at least one thread".into(),
@@ -51,6 +80,7 @@ impl RayonBackend {
             pool,
             n_threads,
             schedule,
+            chunking,
             injector: None,
             metrics: None,
         })
@@ -74,19 +104,34 @@ impl RayonBackend {
         self.n_threads
     }
 
-    /// Floats per chunk for `m` patterns of stride `stride`: one
-    /// contiguous chunk per thread (OpenMP static schedule).
-    fn chunk_len(&self, m: usize, stride: usize) -> usize {
-        m.div_ceil(self.n_threads).max(1) * stride
+    /// Patterns per chunk for a call over `total_m` patterns.
+    fn chunk_patterns(&self, total_m: usize) -> usize {
+        match self.chunking {
+            Chunking::PerThread => total_m.div_ceil(self.n_threads).max(1),
+            Chunking::SelfScheduled => CHUNK_PATTERNS,
+        }
     }
 
-    /// Roll the worker-panic fault *before* entering the pool; the hit
-    /// is delivered inside worker chunk 0 so the panic genuinely crosses
-    /// the fork-join boundary.
-    fn worker_fault_armed(&self) -> bool {
-        self.injector
+    /// Run `kernel` on every chunk task, on the pool. The worker-panic
+    /// fault is rolled before entering the pool and delivered inside
+    /// task 0, so the panic genuinely crosses the pool boundary.
+    fn run<T: Send>(&self, tasks: Vec<T>, kernel: impl Fn(T) + Sync) {
+        let panic_armed = self
+            .injector
             .as_ref()
-            .is_some_and(|inj| inj.fire(FaultSite::Worker))
+            .is_some_and(|inj| inj.fire(FaultSite::Worker));
+        self.pool.install(|| {
+            tasks.into_par_iter().enumerate().for_each(|(ti, task)| {
+                if panic_armed && ti == 0 {
+                    // The injected worker fault is a panic by definition;
+                    // the pool re-raises it on the caller, where the
+                    // resilient wrapper catches it.
+                    // plf-lint: allow(L2) — deliberate fault injection
+                    panic!("injected fault: rayon worker panic");
+                }
+                kernel(task);
+            })
+        });
     }
 
     /// Roll and apply output corruption after the parallel section.
@@ -112,10 +157,14 @@ impl PlfBackend for RayonBackend {
 
     fn preferred_batch_patterns(&self, n_rates: usize) -> usize {
         let _ = n_rates;
-        // One cache-friendly 256-pattern chunk per worker thread, so a
-        // fused work unit keeps the whole pool busy.
-        256 * self.n_threads
+        // One cache-friendly chunk per worker thread, so a fused work
+        // unit keeps the whole pool busy.
+        CHUNK_PATTERNS * self.n_threads
     }
+
+    // The single-op kernels are one-op fused calls: with one op the
+    // chunking, the fault rolls and the counters are exactly those of a
+    // dedicated single-op path.
 
     fn cond_like_down(
         &mut self,
@@ -125,33 +174,13 @@ impl PlfBackend for RayonBackend {
         p_right: &TransitionMatrices,
         out: &mut Clv,
     ) -> Result<(), PlfError> {
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Down, out.n_patterns());
-        let n_rates = out.n_rates();
-        let stride = n_rates * N_STATES;
-        let chunk = self.chunk_len(out.n_patterns(), stride);
-        let schedule = self.schedule;
-        let panic_armed = self.worker_fault_armed();
-        let (l, r) = (left.as_slice(), right.as_slice());
-        self.pool.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, o)| {
-                    if panic_armed && ci == 0 {
-                        panic!("injected fault: rayon worker panic");
-                    }
-                    let start = ci * chunk;
-                    let (lc, rc) = (&l[start..start + o.len()], &r[start..start + o.len()]);
-                    match schedule {
-                        None => scalar::cond_like_down_range(lc, p_left, rc, p_right, o, n_rates),
-                        Some(s) => {
-                            simd4::cond_like_down_range(s, lc, p_left, rc, p_right, o, n_rates)
-                        }
-                    }
-                });
-        });
-        self.maybe_corrupt(out.as_mut_slice());
-        Ok(())
+        self.cond_like_down_fused(&mut [FusedDown {
+            left,
+            p_left,
+            right,
+            p_right,
+            out,
+        }])
     }
 
     fn cond_like_root(
@@ -163,98 +192,32 @@ impl PlfBackend for RayonBackend {
         c: Option<(&Clv, &TransitionMatrices)>,
         out: &mut Clv,
     ) -> Result<(), PlfError> {
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Root, out.n_patterns());
-        let n_rates = out.n_rates();
-        let stride = n_rates * N_STATES;
-        let chunk = self.chunk_len(out.n_patterns(), stride);
-        let schedule = self.schedule;
-        let panic_armed = self.worker_fault_armed();
-        let (sa, sb) = (a.as_slice(), b.as_slice());
-        let sc = c.map(|(clv, p)| (clv.as_slice(), p));
-        self.pool.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, o)| {
-                    if panic_armed && ci == 0 {
-                        panic!("injected fault: rayon worker panic");
-                    }
-                    let start = ci * chunk;
-                    let range = start..start + o.len();
-                    let ca = &sa[range.clone()];
-                    let cb = &sb[range.clone()];
-                    let cc = sc.map(|(s, p)| (&s[range.clone()], p));
-                    match schedule {
-                        None => scalar::cond_like_root_range(ca, p_a, cb, p_b, cc, o, n_rates),
-                        Some(s) => {
-                            simd4::cond_like_root_range(s, ca, p_a, cb, p_b, cc, o, n_rates)
-                        }
-                    }
-                });
-        });
-        self.maybe_corrupt(out.as_mut_slice());
-        Ok(())
+        self.cond_like_root_fused(&mut [FusedRoot {
+            a,
+            p_a,
+            b,
+            p_b,
+            c,
+            out,
+        }])
     }
 
     fn cond_like_scaler(&mut self, clv: &mut Clv, ln_scalers: &mut [f32]) -> Result<(), PlfError> {
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Scale, clv.n_patterns());
-        let n_rates = clv.n_rates();
-        let stride = n_rates * N_STATES;
-        let m = clv.n_patterns();
-        let chunk = self.chunk_len(m, stride);
-        let chunk_patterns = chunk / stride;
-        let schedule = self.schedule;
-        let panic_armed = self.worker_fault_armed();
-        let rescaled = AtomicU64::new(0);
-        self.pool.install(|| {
-            clv.as_mut_slice()
-                .par_chunks_mut(chunk)
-                .zip(ln_scalers.par_chunks_mut(chunk_patterns))
-                .enumerate()
-                .for_each(|(ci, (c, s))| {
-                    if panic_armed && ci == 0 {
-                        panic!("injected fault: rayon worker panic");
-                    }
-                    let n = match schedule {
-                        None => scalar::cond_like_scaler_range(c, s, n_rates),
-                        Some(_) => simd4::cond_like_scaler_range(c, s, n_rates),
-                    };
-                    rescaled.fetch_add(n, Ordering::Relaxed);
-                });
-        });
-        if let Some(counters) = &self.metrics {
-            counters.record_rescaled(rescaled.into_inner());
-        }
-        if let Some(inj) = &self.injector {
-            if let Some(kind) = inj.fire_corruption() {
-                inj.corrupt(ln_scalers, kind);
-            }
-        }
-        Ok(())
+        self.cond_like_scaler_fused(&mut [FusedScale { clv, ln_scalers }])
     }
 
-    // Fused overrides: the per-job loop would fork-join the pool once
-    // per op per job; instead all jobs' current ops are flattened into
-    // one chunk-task list and executed under a single `install`, so the
-    // whole batch pays one fork-join per tree level. Chunks never span
-    // ops and patterns are independent, so results are bitwise
-    // identical to the per-op path.
+    // Fused calls: all jobs' current ops are flattened into one chunk
+    // task list and run as one pool job, so the whole batch pays one
+    // fork-join per tree level. Chunks never span ops and patterns are
+    // independent, so results are bitwise identical to the per-op path
+    // under either chunking.
 
     fn cond_like_down_fused(&mut self, ops: &mut [FusedDown<'_>]) -> Result<(), PlfError> {
         let total_m: usize = ops.iter().map(|op| op.out.n_patterns()).sum();
         let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Down, total_m);
-        let chunk_patterns = total_m.div_ceil(self.n_threads).max(1);
+        let chunk_patterns = self.chunk_patterns(total_m);
         let schedule = self.schedule;
-        let panic_armed = self.worker_fault_armed();
-        type DownTask<'t> = (
-            usize,
-            &'t [f32],
-            &'t TransitionMatrices,
-            &'t [f32],
-            &'t TransitionMatrices,
-            &'t mut [f32],
-        );
-        let mut tasks: Vec<DownTask<'_>> = Vec::new();
+        let mut tasks = Vec::new();
         for op in ops.iter_mut() {
             let n_rates = op.out.n_rates();
             let chunk = chunk_patterns * n_rates * N_STATES;
@@ -271,19 +234,9 @@ impl PlfBackend for RayonBackend {
                 ));
             }
         }
-        self.pool.install(|| {
-            tasks
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(ti, (n_rates, lc, p_l, rc, p_r, o))| {
-                    if panic_armed && ti == 0 {
-                        panic!("injected fault: rayon worker panic");
-                    }
-                    match schedule {
-                        None => scalar::cond_like_down_range(lc, p_l, rc, p_r, o, n_rates),
-                        Some(s) => simd4::cond_like_down_range(s, lc, p_l, rc, p_r, o, n_rates),
-                    }
-                });
+        self.run(tasks, |(n_rates, lc, p_l, rc, p_r, o)| match schedule {
+            None => scalar::cond_like_down_range(lc, p_l, rc, p_r, o, n_rates),
+            Some(s) => simd4::cond_like_down_range(s, lc, p_l, rc, p_r, o, n_rates),
         });
         for op in ops.iter_mut() {
             self.maybe_corrupt(op.out.as_mut_slice());
@@ -294,19 +247,9 @@ impl PlfBackend for RayonBackend {
     fn cond_like_root_fused(&mut self, ops: &mut [FusedRoot<'_>]) -> Result<(), PlfError> {
         let total_m: usize = ops.iter().map(|op| op.out.n_patterns()).sum();
         let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Root, total_m);
-        let chunk_patterns = total_m.div_ceil(self.n_threads).max(1);
+        let chunk_patterns = self.chunk_patterns(total_m);
         let schedule = self.schedule;
-        let panic_armed = self.worker_fault_armed();
-        type RootTask<'t> = (
-            usize,
-            &'t [f32],
-            &'t TransitionMatrices,
-            &'t [f32],
-            &'t TransitionMatrices,
-            Option<(&'t [f32], &'t TransitionMatrices)>,
-            &'t mut [f32],
-        );
-        let mut tasks: Vec<RootTask<'_>> = Vec::new();
+        let mut tasks = Vec::new();
         for op in ops.iter_mut() {
             let n_rates = op.out.n_rates();
             let chunk = chunk_patterns * n_rates * N_STATES;
@@ -326,19 +269,9 @@ impl PlfBackend for RayonBackend {
                 ));
             }
         }
-        self.pool.install(|| {
-            tasks
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(ti, (n_rates, ca, p_a, cb, p_b, cc, o))| {
-                    if panic_armed && ti == 0 {
-                        panic!("injected fault: rayon worker panic");
-                    }
-                    match schedule {
-                        None => scalar::cond_like_root_range(ca, p_a, cb, p_b, cc, o, n_rates),
-                        Some(s) => simd4::cond_like_root_range(s, ca, p_a, cb, p_b, cc, o, n_rates),
-                    }
-                });
+        self.run(tasks, |(n_rates, ca, p_a, cb, p_b, cc, o)| match schedule {
+            None => scalar::cond_like_root_range(ca, p_a, cb, p_b, cc, o, n_rates),
+            Some(s) => simd4::cond_like_root_range(s, ca, p_a, cb, p_b, cc, o, n_rates),
         });
         for op in ops.iter_mut() {
             self.maybe_corrupt(op.out.as_mut_slice());
@@ -349,11 +282,10 @@ impl PlfBackend for RayonBackend {
     fn cond_like_scaler_fused(&mut self, ops: &mut [FusedScale<'_>]) -> Result<(), PlfError> {
         let total_m: usize = ops.iter().map(|op| op.clv.n_patterns()).sum();
         let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Scale, total_m);
-        let chunk_patterns = total_m.div_ceil(self.n_threads).max(1);
+        let chunk_patterns = self.chunk_patterns(total_m);
         let schedule = self.schedule;
-        let panic_armed = self.worker_fault_armed();
         let rescaled = AtomicU64::new(0);
-        let mut tasks: Vec<(usize, &mut [f32], &mut [f32])> = Vec::new();
+        let mut tasks = Vec::new();
         for op in ops.iter_mut() {
             let n_rates = op.clv.n_rates();
             let chunk = chunk_patterns * n_rates * N_STATES;
@@ -366,30 +298,18 @@ impl PlfBackend for RayonBackend {
                 tasks.push((n_rates, c, s));
             }
         }
-        self.pool.install(|| {
-            tasks
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(ti, (n_rates, c, s))| {
-                    if panic_armed && ti == 0 {
-                        panic!("injected fault: rayon worker panic");
-                    }
-                    let n = match schedule {
-                        None => scalar::cond_like_scaler_range(c, s, n_rates),
-                        Some(_) => simd4::cond_like_scaler_range(c, s, n_rates),
-                    };
-                    rescaled.fetch_add(n, Ordering::Relaxed);
-                });
+        self.run(tasks, |(n_rates, c, s)| {
+            let n = match schedule {
+                None => scalar::cond_like_scaler_range(c, s, n_rates),
+                Some(_) => simd4::cond_like_scaler_range(c, s, n_rates),
+            };
+            rescaled.fetch_add(n, Ordering::Relaxed);
         });
         if let Some(counters) = &self.metrics {
             counters.record_rescaled(rescaled.into_inner());
         }
         for op in ops.iter_mut() {
-            if let Some(inj) = &self.injector {
-                if let Some(kind) = inj.fire_corruption() {
-                    inj.corrupt(op.ln_scalers, kind);
-                }
-            }
+            self.maybe_corrupt(op.ln_scalers);
         }
         Ok(())
     }

@@ -3,227 +3,64 @@
 //! §4.1.1 observes that OpenMP's per-region spawn/join overhead limits
 //! fine-grain scalability and suggests exploring "implementations that
 //! are more efficient (e.g. the TFlux model, which has minimal
-//! synchronization and runtime overheads)". This backend implements
-//! that idea: worker threads are spawned **once** and live for the
-//! backend's lifetime; each PLF call publishes a job epoch, workers
-//! self-schedule pattern chunks off a single atomic counter, and the
-//! caller participates in the work and spin-waits for the last chunk —
-//! no thread creation, no parked-thread wakeup on the critical path
-//! beyond one condvar broadcast.
+//! synchronization and runtime overheads)". Every multicore backend now
+//! runs on a resident worker team (see [`crate::backend`]); this one
+//! adds TFlux-style self-scheduling on top: each call is cut into
+//! fixed 256-pattern chunks that the team claims off one atomic index
+//! as threads free up, instead of one static chunk per thread.
 
+use crate::backend::{Chunking, RayonBackend};
 use plf_phylo::clv::{Clv, TransitionMatrices};
-use plf_phylo::dna::N_STATES;
-use plf_phylo::kernels::{simd4, FusedDown, FusedRoot, FusedScale, PlfBackend, SimdSchedule};
-use plf_phylo::metrics::{Kernel, KernelTimer, PlfCounters};
+use plf_phylo::kernels::{FusedDown, FusedRoot, FusedScale, PlfBackend, SimdSchedule};
+use plf_phylo::metrics::PlfCounters;
 use plf_phylo::resilience::PlfError;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
-/// Patterns per self-scheduled chunk. Small enough to balance load,
-/// large enough that the atomic fetch-add is negligible.
-const CHUNK_PATTERNS: usize = 256;
-
-type Task = Box<dyn Fn(usize) + Send + Sync>;
-
-struct PoolState {
-    epoch: u64,
-    task: Option<Arc<Task>>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    job_ready: Condvar,
-    next_chunk: AtomicUsize,
-    chunks_done: AtomicUsize,
-    n_chunks: AtomicUsize,
-}
-
-impl PoolShared {
-    /// Claim and run chunks until the current job is exhausted.
-    fn drain(&self, task: &Task) {
-        let n = self.n_chunks.load(Ordering::Acquire);
-        loop {
-            let i = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            task(i);
-            self.chunks_done.fetch_add(1, Ordering::Release);
-        }
-    }
-}
-
-/// A pointer that may cross threads; safety is established by the job
-/// construction (each chunk index owns a disjoint output region).
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: these impls promise nothing about the pointee on their own —
-// SendPtr is a plain address. Soundness is discharged at every deref
-// site (the `from_raw_parts_mut` calls below), which must uphold:
-// (1) disjointness — chunk `i` derives a slice covering only its own
-//     `[lo, hi)` region, and the fetch-add chunk counter hands each
-//     index to exactly one worker per job, so no two live `&mut [f32]`
-//     overlap;
-// (2) lifetime — the pointee buffer is borrowed by the caller of
-//     `run_job`, which blocks until `chunks_done == n_chunks` (with an
-//     Acquire load pairing against each worker's Release increment),
-//     so every derived slice is dead — and its writes visible — before
-//     the borrow ends.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Taking `self` forces closures to capture the whole wrapper (2021
-    /// edition precise capture would otherwise grab the raw field and
-    /// lose the Send/Sync impls).
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Persistent-thread-pool PLF backend with TFlux-style self-scheduling.
-pub struct PersistentPoolBackend {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    n_threads: usize,
-    schedule: SimdSchedule,
-    metrics: Option<Arc<PlfCounters>>,
-}
+/// Persistent-thread-pool PLF backend with TFlux-style self-scheduling:
+/// the [`RayonBackend`] path with self-scheduled chunks.
+pub struct PersistentPoolBackend(RayonBackend);
 
 impl PersistentPoolBackend {
-    /// Spawn `n_threads` workers (including the caller, so `n_threads-1`
-    /// OS threads) using the column-wise SIMD kernels.
+    /// Build a team of `n_threads` (the caller plus `n_threads - 1`
+    /// resident OS threads) using the column-wise SIMD kernels.
+    ///
+    /// # Panics
+    ///
+    /// If `n_threads` is 0 or a worker thread cannot be spawned.
     pub fn new(n_threads: usize) -> PersistentPoolBackend {
-        assert!(n_threads >= 1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                task: None,
-                shutdown: false,
-            }),
-            job_ready: Condvar::new(),
-            next_chunk: AtomicUsize::new(0),
-            chunks_done: AtomicUsize::new(0),
-            n_chunks: AtomicUsize::new(0),
-        });
-        let workers = (1..n_threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut seen_epoch = 0u64;
-                    loop {
-                        // Wait for a new job epoch (or shutdown).
-                        let task = {
-                            let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-                            loop {
-                                if st.shutdown {
-                                    return;
-                                }
-                                if st.epoch != seen_epoch {
-                                    seen_epoch = st.epoch;
-                                    // `run_job` publishes the task and
-                                    // bumps the epoch under this same
-                                    // lock, so a fresh epoch always
-                                    // carries one; should that
-                                    // invariant ever break, waiting
-                                    // again is safe — the caller
-                                    // drains its own job regardless.
-                                    if let Some(task) = st.task.clone() {
-                                        break task;
-                                    }
-                                }
-                                st = shared
-                                    .job_ready
-                                    .wait(st)
-                                    .unwrap_or_else(|p| p.into_inner());
-                            }
-                        };
-                        shared.drain(&task);
-                    }
-                })
-            })
-            .collect();
-        PersistentPoolBackend {
-            shared,
-            workers,
+        let backend = RayonBackend::with_chunking(
             n_threads,
-            schedule: SimdSchedule::ColWise,
-            metrics: None,
-        }
+            Some(SimdSchedule::ColWise),
+            Chunking::SelfScheduled,
+        );
+        PersistentPoolBackend(
+            backend.expect("persistent pool needs n_threads >= 1 and spawnable workers"),
+        )
     }
 
     /// Attach shared observability counters (per-kernel invocations,
     /// patterns, wall time, rescale events).
-    pub fn with_metrics(mut self, counters: Arc<PlfCounters>) -> PersistentPoolBackend {
-        self.metrics = Some(counters);
-        self
+    pub fn with_metrics(self, counters: Arc<PlfCounters>) -> PersistentPoolBackend {
+        PersistentPoolBackend(self.0.with_metrics(counters))
     }
 
     /// Number of threads participating in each call.
     pub fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-
-    /// Publish a job of `n_chunks` chunks, work on it, and wait for the
-    /// last chunk to finish.
-    fn run_job(&self, n_chunks: usize, task: Task) {
-        if n_chunks == 0 {
-            return;
-        }
-        let task: Arc<Task> = Arc::new(task);
-        self.shared.next_chunk.store(0, Ordering::Relaxed);
-        self.shared.chunks_done.store(0, Ordering::Relaxed);
-        self.shared.n_chunks.store(n_chunks, Ordering::Release);
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.epoch += 1;
-            st.task = Some(Arc::clone(&task));
-        }
-        self.shared.job_ready.notify_all();
-        // The caller is worker 0.
-        self.shared.drain(&task);
-        // Spin for the stragglers (chunks are tiny; parking would cost
-        // more than it saves — the TFlux premise).
-        while self.shared.chunks_done.load(Ordering::Acquire) < n_chunks {
-            std::hint::spin_loop();
-        }
-    }
-
-    fn n_chunks(m: usize) -> usize {
-        m.div_ceil(CHUNK_PATTERNS)
-    }
-}
-
-impl Drop for PersistentPoolBackend {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.shutdown = true;
-        }
-        self.shared.job_ready.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.0.n_threads()
     }
 }
 
 impl PlfBackend for PersistentPoolBackend {
     fn name(&self) -> String {
-        format!("persistent-{}", self.n_threads)
+        format!("persistent-{}", self.n_threads())
     }
 
     fn begin_evaluation(&mut self) {
-        if let Some(m) = &self.metrics {
-            m.record_evaluation();
-        }
+        self.0.begin_evaluation();
     }
 
     fn preferred_batch_patterns(&self, n_rates: usize) -> usize {
-        let _ = n_rates;
-        // The pool hands out fixed CHUNK_PATTERNS-sized chunks; a fused
-        // unit of one chunk per worker saturates it.
-        CHUNK_PATTERNS * self.n_threads
+        self.0.preferred_batch_patterns(n_rates)
     }
 
     fn cond_like_down(
@@ -234,41 +71,7 @@ impl PlfBackend for PersistentPoolBackend {
         p_right: &TransitionMatrices,
         out: &mut Clv,
     ) -> Result<(), PlfError> {
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Down, out.n_patterns());
-        let m = out.n_patterns();
-        let n_rates = out.n_rates();
-        let stride = n_rates * N_STATES;
-        let schedule = self.schedule;
-        // SAFETY: each worker writes a disjoint chunk region of `out`
-        // (chunk indices are claimed exactly once) and `run_job` joins
-        // all chunks before `out` can be touched again.
-        let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-        let left = left.as_slice().to_vec();
-        let right = right.as_slice().to_vec();
-        let p_left = p_left.clone();
-        let p_right = p_right.clone();
-        let task: Task = Box::new(move |chunk| {
-            let start = chunk * CHUNK_PATTERNS;
-            let end = (start + CHUNK_PATTERNS).min(m);
-            let lo = start * stride;
-            let hi = end * stride;
-            // SAFETY: each chunk index owns the disjoint region
-            // [lo, hi) of the output; the buffer outlives the job
-            // because run_job joins all chunks before returning.
-            let out_chunk =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo), hi - lo) };
-            simd4::cond_like_down_range(
-                schedule,
-                &left[lo..hi],
-                &p_left,
-                &right[lo..hi],
-                &p_right,
-                out_chunk,
-                n_rates,
-            );
-        });
-        self.run_job(Self::n_chunks(m), task);
-        Ok(())
+        self.0.cond_like_down(left, p_left, right, p_right, out)
     }
 
     fn cond_like_root(
@@ -280,277 +83,30 @@ impl PlfBackend for PersistentPoolBackend {
         c: Option<(&Clv, &TransitionMatrices)>,
         out: &mut Clv,
     ) -> Result<(), PlfError> {
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Root, out.n_patterns());
-        let m = out.n_patterns();
-        let n_rates = out.n_rates();
-        let stride = n_rates * N_STATES;
-        let schedule = self.schedule;
-        // SAFETY: each worker writes a disjoint chunk region of `out`
-        // (chunk indices are claimed exactly once) and `run_job` joins
-        // all chunks before `out` can be touched again.
-        let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-        let a = a.as_slice().to_vec();
-        let b = b.as_slice().to_vec();
-        let c = c.map(|(clv, p)| (clv.as_slice().to_vec(), p.clone()));
-        let p_a = p_a.clone();
-        let p_b = p_b.clone();
-        let task: Task = Box::new(move |chunk| {
-            let start = chunk * CHUNK_PATTERNS;
-            let end = (start + CHUNK_PATTERNS).min(m);
-            let lo = start * stride;
-            let hi = end * stride;
-            // SAFETY: as in cond_like_down — disjoint chunk regions.
-            let out_chunk =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo), hi - lo) };
-            let cc = c.as_ref().map(|(clv, p)| (&clv[lo..hi], p));
-            simd4::cond_like_root_range(
-                schedule,
-                &a[lo..hi],
-                &p_a,
-                &b[lo..hi],
-                &p_b,
-                cc,
-                out_chunk,
-                n_rates,
-            );
-        });
-        self.run_job(Self::n_chunks(m), task);
-        Ok(())
+        self.0.cond_like_root(a, p_a, b, p_b, c, out)
     }
 
     fn cond_like_scaler(&mut self, clv: &mut Clv, ln_scalers: &mut [f32]) -> Result<(), PlfError> {
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Scale, clv.n_patterns());
-        let m = clv.n_patterns();
-        let n_rates = clv.n_rates();
-        let stride = n_rates * N_STATES;
-        // SAFETY: workers scale disjoint pattern ranges of the CLV and
-        // write disjoint entries of `ln_scalers`; run_job joins before
-        // either buffer is read.
-        let clv_ptr = SendPtr(clv.as_mut_slice().as_mut_ptr());
-        let sc_ptr = SendPtr(ln_scalers.as_mut_ptr());
-        let rescaled = Arc::new(AtomicU64::new(0));
-        let task_rescaled = Arc::clone(&rescaled);
-        let task: Task = Box::new(move |chunk| {
-            let start = chunk * CHUNK_PATTERNS;
-            let end = (start + CHUNK_PATTERNS).min(m);
-            // SAFETY: chunk `chunk` is claimed by exactly one worker,
-            // and this slice covers only its pattern range scaled by
-            // `stride`; the CLV buffer outlives the job because
-            // `run_job` joins all chunks before returning.
-            let clv_chunk = unsafe {
-                std::slice::from_raw_parts_mut(clv_ptr.get().add(start * stride), (end - start) * stride)
-            };
-            // SAFETY: same disjointness/lifetime argument for the
-            // per-pattern scaler array (one f32 per pattern, so the
-            // chunk owns `[start, end)` of it exclusively).
-            let sc_chunk =
-                unsafe { std::slice::from_raw_parts_mut(sc_ptr.get().add(start), end - start) };
-            let n = simd4::cond_like_scaler_range(clv_chunk, sc_chunk, n_rates);
-            task_rescaled.fetch_add(n, Ordering::Relaxed);
-        });
-        self.run_job(Self::n_chunks(m), task);
-        if let Some(counters) = &self.metrics {
-            counters.record_rescaled(rescaled.load(Ordering::Relaxed));
-        }
-        Ok(())
+        self.0.cond_like_scaler(clv, ln_scalers)
     }
 
-    // Fused overrides: one `run_job` (one epoch publish + one
-    // completion barrier) per tree level for the whole batch, instead
-    // of one per op per job. A prefix-sum chunk table maps each global
-    // chunk index to (op, local chunk); chunks never span ops, so the
-    // per-pattern arithmetic — and therefore the result bits — are
-    // exactly those of the per-op path.
-
     fn cond_like_down_fused(&mut self, ops: &mut [FusedDown<'_>]) -> Result<(), PlfError> {
-        let total_m: usize = ops.iter().map(|op| op.out.n_patterns()).sum();
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Down, total_m);
-        let schedule = self.schedule;
-        struct OpJob {
-            chunk_base: usize,
-            m: usize,
-            n_rates: usize,
-            left: Vec<f32>,
-            right: Vec<f32>,
-            p_left: TransitionMatrices,
-            p_right: TransitionMatrices,
-            out: SendPtr,
-        }
-        let mut table: Vec<OpJob> = Vec::with_capacity(ops.len());
-        let mut n_chunks = 0usize;
-        for op in ops.iter_mut() {
-            let m = op.out.n_patterns();
-            table.push(OpJob {
-                chunk_base: n_chunks,
-                m,
-                n_rates: op.out.n_rates(),
-                left: op.left.as_slice().to_vec(),
-                right: op.right.as_slice().to_vec(),
-                p_left: op.p_left.clone(),
-                p_right: op.p_right.clone(),
-                // SAFETY: global chunk indices map to disjoint regions
-                // of exactly one op's `out`; run_job joins before ops
-                // are reused.
-                out: SendPtr(op.out.as_mut_slice().as_mut_ptr()),
-            });
-            n_chunks += Self::n_chunks(m);
-        }
-        let task: Task = Box::new(move |chunk| {
-            let idx = table.partition_point(|j| j.chunk_base <= chunk).saturating_sub(1);
-            let job = &table[idx];
-            let stride = job.n_rates * N_STATES;
-            let start = (chunk - job.chunk_base) * CHUNK_PATTERNS;
-            let end = (start + CHUNK_PATTERNS).min(job.m);
-            let lo = start * stride;
-            let hi = end * stride;
-            // SAFETY: the table assigns each global chunk index to one
-            // op and one [lo, hi) region of that op's output; regions
-            // of distinct chunks are disjoint and every output buffer
-            // outlives the job because run_job joins all chunks before
-            // returning.
-            let out_chunk =
-                unsafe { std::slice::from_raw_parts_mut(job.out.get().add(lo), hi - lo) };
-            simd4::cond_like_down_range(
-                schedule,
-                &job.left[lo..hi],
-                &job.p_left,
-                &job.right[lo..hi],
-                &job.p_right,
-                out_chunk,
-                job.n_rates,
-            );
-        });
-        self.run_job(n_chunks, task);
-        Ok(())
+        self.0.cond_like_down_fused(ops)
     }
 
     fn cond_like_root_fused(&mut self, ops: &mut [FusedRoot<'_>]) -> Result<(), PlfError> {
-        let total_m: usize = ops.iter().map(|op| op.out.n_patterns()).sum();
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Root, total_m);
-        let schedule = self.schedule;
-        struct OpJob {
-            chunk_base: usize,
-            m: usize,
-            n_rates: usize,
-            a: Vec<f32>,
-            b: Vec<f32>,
-            c: Option<(Vec<f32>, TransitionMatrices)>,
-            p_a: TransitionMatrices,
-            p_b: TransitionMatrices,
-            out: SendPtr,
-        }
-        let mut table: Vec<OpJob> = Vec::with_capacity(ops.len());
-        let mut n_chunks = 0usize;
-        for op in ops.iter_mut() {
-            let m = op.out.n_patterns();
-            table.push(OpJob {
-                chunk_base: n_chunks,
-                m,
-                n_rates: op.out.n_rates(),
-                a: op.a.as_slice().to_vec(),
-                b: op.b.as_slice().to_vec(),
-                c: op.c.map(|(clv, p)| (clv.as_slice().to_vec(), p.clone())),
-                p_a: op.p_a.clone(),
-                p_b: op.p_b.clone(),
-                // SAFETY: global chunk indices map to disjoint regions
-                // of exactly one op's `out`; run_job joins before ops
-                // are reused.
-                out: SendPtr(op.out.as_mut_slice().as_mut_ptr()),
-            });
-            n_chunks += Self::n_chunks(m);
-        }
-        let task: Task = Box::new(move |chunk| {
-            let idx = table.partition_point(|j| j.chunk_base <= chunk).saturating_sub(1);
-            let job = &table[idx];
-            let stride = job.n_rates * N_STATES;
-            let start = (chunk - job.chunk_base) * CHUNK_PATTERNS;
-            let end = (start + CHUNK_PATTERNS).min(job.m);
-            let lo = start * stride;
-            let hi = end * stride;
-            // SAFETY: as in cond_like_down_fused — one op and one
-            // disjoint region per global chunk index, buffers alive
-            // until run_job's barrier.
-            let out_chunk =
-                unsafe { std::slice::from_raw_parts_mut(job.out.get().add(lo), hi - lo) };
-            let cc = job.c.as_ref().map(|(clv, p)| (&clv[lo..hi], p));
-            simd4::cond_like_root_range(
-                schedule,
-                &job.a[lo..hi],
-                &job.p_a,
-                &job.b[lo..hi],
-                &job.p_b,
-                cc,
-                out_chunk,
-                job.n_rates,
-            );
-        });
-        self.run_job(n_chunks, task);
-        Ok(())
+        self.0.cond_like_root_fused(ops)
     }
 
     fn cond_like_scaler_fused(&mut self, ops: &mut [FusedScale<'_>]) -> Result<(), PlfError> {
-        let total_m: usize = ops.iter().map(|op| op.clv.n_patterns()).sum();
-        let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Scale, total_m);
-        struct OpJob {
-            chunk_base: usize,
-            m: usize,
-            n_rates: usize,
-            clv: SendPtr,
-            scalers: SendPtr,
-        }
-        let mut table: Vec<OpJob> = Vec::with_capacity(ops.len());
-        let mut n_chunks = 0usize;
-        for op in ops.iter_mut() {
-            let m = op.clv.n_patterns();
-            table.push(OpJob {
-                chunk_base: n_chunks,
-                m,
-                n_rates: op.clv.n_rates(),
-                // SAFETY: global chunk indices map to disjoint pattern
-                // ranges of exactly one op's CLV and scaler buffers;
-                // run_job joins before the ops are reused.
-                clv: SendPtr(op.clv.as_mut_slice().as_mut_ptr()),
-                scalers: SendPtr(op.ln_scalers.as_mut_ptr()),
-            });
-            n_chunks += Self::n_chunks(m);
-        }
-        let rescaled = Arc::new(AtomicU64::new(0));
-        let task_rescaled = Arc::clone(&rescaled);
-        let task: Task = Box::new(move |chunk| {
-            let idx = table.partition_point(|j| j.chunk_base <= chunk).saturating_sub(1);
-            let job = &table[idx];
-            let stride = job.n_rates * N_STATES;
-            let start = (chunk - job.chunk_base) * CHUNK_PATTERNS;
-            let end = (start + CHUNK_PATTERNS).min(job.m);
-            // SAFETY: one op and one disjoint pattern range per global
-            // chunk index, for both the CLV region (scaled by `stride`)
-            // and the per-pattern scaler region; both buffers outlive
-            // the job because run_job joins all chunks first.
-            let clv_chunk = unsafe {
-                std::slice::from_raw_parts_mut(
-                    job.clv.get().add(start * stride),
-                    (end - start) * stride,
-                )
-            };
-            // SAFETY: same argument for the scaler array (one f32 per
-            // pattern; the chunk owns [start, end) exclusively).
-            let sc_chunk = unsafe {
-                std::slice::from_raw_parts_mut(job.scalers.get().add(start), end - start)
-            };
-            let n = simd4::cond_like_scaler_range(clv_chunk, sc_chunk, job.n_rates);
-            task_rescaled.fetch_add(n, Ordering::Relaxed);
-        });
-        self.run_job(n_chunks, task);
-        if let Some(counters) = &self.metrics {
-            counters.record_rescaled(rescaled.load(Ordering::Relaxed));
-        }
-        Ok(())
+        self.0.cond_like_scaler_fused(ops)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CHUNK_PATTERNS;
     use plf_phylo::alignment::Alignment;
     use plf_phylo::kernels::ScalarBackend;
     use plf_phylo::likelihood::TreeLikelihood;
@@ -605,58 +161,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(eval.log_likelihood(&tree, &mut backend).unwrap(), first);
         }
-    }
-
-    #[test]
-    fn send_ptr_disjoint_chunk_writes_are_exact() {
-        // Drives run_job/SendPtr directly (no kernels): every chunk
-        // adds its 1-based index to its own disjoint region, repeated
-        // for several rounds. If a chunk ever ran twice, never ran, or
-        // ran after run_job returned, the accumulated values would be
-        // off; if two workers overlapped, Miri/TSan-style failures or
-        // torn sums would show. Also exercises the completion barrier:
-        // round N reads what round N-1 wrote.
-        const CHUNK_LEN: usize = 512;
-        const N_CHUNKS: usize = 64;
-        const ROUNDS: usize = 8;
-        let pool = PersistentPoolBackend::new(4);
-        let mut buf = vec![0.0f32; N_CHUNKS * CHUNK_LEN];
-        for _ in 0..ROUNDS {
-            let ptr = SendPtr(buf.as_mut_ptr());
-            let task: Task = Box::new(move |chunk| {
-                // SAFETY: each chunk index is claimed exactly once per
-                // job and this slice covers only its own CHUNK_LEN
-                // region; `buf` outlives the job because run_job
-                // blocks until all chunks are done.
-                let region = unsafe {
-                    std::slice::from_raw_parts_mut(ptr.get().add(chunk * CHUNK_LEN), CHUNK_LEN)
-                };
-                for x in region.iter_mut() {
-                    *x += (chunk + 1) as f32;
-                }
-            });
-            pool.run_job(N_CHUNKS, task);
-        }
-        for (i, &x) in buf.iter().enumerate() {
-            let chunk = i / CHUNK_LEN;
-            assert_eq!(x, (ROUNDS * (chunk + 1)) as f32, "element {i}");
-        }
-    }
-
-    #[test]
-    fn drop_joins_workers() {
-        // Constructing and dropping many pools must not leak or hang.
-        for _ in 0..20 {
-            let backend = PersistentPoolBackend::new(4);
-            drop(backend);
-        }
-    }
-
-    #[test]
-    fn single_thread_pool_has_no_workers() {
-        let backend = PersistentPoolBackend::new(1);
-        assert_eq!(backend.workers.len(), 0);
-        assert_eq!(backend.n_threads(), 1);
     }
 
     #[test]

@@ -52,8 +52,9 @@
 # service-smoke artifact.
 #
 # With --deep, additionally runs the Miri soundness pass over the raw
-# allocator (`cargo +nightly miri test -p plf-phylo clv`) and over the
-# plf-lint scanner/parser/graph unit tests. Miri needs
+# allocator (`cargo +nightly miri test -p plf-phylo clv`), over the
+# plf-lint scanner/parser/graph unit tests, and over the vendored rayon
+# worker pool (`cargo +nightly miri test -p rayon`). Miri needs
 # the nightly toolchain with the miri component; when it is not
 # installed the deep pass is reported and skipped so offline
 # environments still verify.
@@ -176,13 +177,16 @@ cargo run --release -q --bin plfr -- chaos \
     --journal-dir "$CRASH_DIR/journal" >/dev/null
 
 if [ "$DEEP" = 1 ]; then
-    echo "==> deep: miri soundness pass (AlignedBuf / clv, plf-lint)"
+    echo "==> deep: miri soundness pass (AlignedBuf / clv, plf-lint, rayon pool)"
     if rustup run nightly cargo miri --version >/dev/null 2>&1; then
         # MIRIFLAGS: vendored deps are path deps, no network access.
         cargo +nightly miri test -p plf-phylo clv
         # The lint crate's scanner/parser is pure safe code over
         # untrusted source text; Miri keeps its indexing honest.
         cargo +nightly miri test -p plf-lint --lib
+        # The vendored rayon pool holds the workspace's thread-handoff
+        # unsafe (a type-erased task pointer); plf-lint skips vendor/.
+        cargo +nightly miri test -p rayon
     else
         echo "warning: nightly miri not installed; skipping deep pass" >&2
         echo "         (install: rustup component add --toolchain nightly miri)" >&2

@@ -113,8 +113,8 @@ fn backend_by_name(
                 None => Box::new(b),
             }
         }
-        // The persistent pool keeps workers parked on channels; a
-        // mid-kernel panic would wedge them, so it opts out of injection.
+        // The persistent pool takes no injector: `rayon` runs the same
+        // resident pool and covers its worker-panic site.
         "persistent" => Box::new(plf_repro::multicore::PersistentPoolBackend::new(threads)),
         "ps3" => {
             let b = plf_repro::cellbe::CellBackend::ps3();

@@ -212,6 +212,37 @@ mod fault_matrix {
     }
 
     #[test]
+    fn rayon_worker_panic_reaches_caller_and_same_backend_recovers() {
+        // No resilient wrapper: the resident pool itself must re-raise
+        // the injected chunk panic on the caller, and the same backend
+        // (same pool, same resident workers) must then evaluate
+        // bit-identically.
+        let inj = Arc::new(FaultInjector::new(5).schedule(FaultSite::Worker, 0));
+        let ds = dataset();
+        let expect = fault_free_scalar_lnl(&ds);
+        let mut backend = plf_repro::multicore::RayonBackend::new(2)
+            .unwrap()
+            .with_fault_injector(Arc::clone(&inj));
+        let mut eval =
+            TreeLikelihood::new(&ds.tree, &ds.data, seqgen::default_model()).unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eval.log_likelihood(&ds.tree, &mut backend)
+        }));
+        let payload = caught.expect_err("the injected worker panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected fault: rayon worker panic")
+        );
+        assert_eq!(inj.fired(), 1);
+        for _ in 0..3 {
+            let mut eval =
+                TreeLikelihood::new(&ds.tree, &ds.data, seqgen::default_model()).unwrap();
+            let lnl = eval.log_likelihood(&ds.tree, &mut backend).unwrap();
+            assert_eq!(lnl.to_bits(), expect.to_bits());
+        }
+    }
+
+    #[test]
     fn rayon_survives_nan_corruption() {
         let inj = Arc::new(FaultInjector::new(2).schedule_corruption(0, CorruptionKind::Nan));
         assert_recovers(rayon(&inj), &inj, fast_policy(), "rayon/nan");
