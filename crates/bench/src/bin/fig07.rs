@@ -1,7 +1,6 @@
 //! Regenerate Figure 7: the DMA/SPE double-buffering synchronization
 //! schedule — operand transfers (T), computation (C), and result
 //! write-backs (R) overlapping across Local-Store chunks.
-use plf_cellbe::dma::DmaEngine;
 use plf_cellbe::timing::{CellCalibration, KernelKind};
 use plf_cellbe::{double_buffered_schedule, render_gantt};
 use plf_phylo::kernels::SimdSchedule;
@@ -10,14 +9,12 @@ fn main() {
     // One CondLikeDown call on one PS3 SPE: 8,543-pattern real data set
     // split 6 ways, then chunked to the Local Store.
     let cal = CellCalibration::default();
-    let engine = DmaEngine::new(1, 1);
     let patterns_per_spe = 8543usize.div_ceil(6);
     let chunks = cal.chunk_costs(
         KernelKind::Down,
         SimdSchedule::ColWise,
         patterns_per_spe,
         4,
-        &engine,
         6,
     );
     println!(

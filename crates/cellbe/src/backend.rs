@@ -8,14 +8,15 @@
 //! through the per-SPE FSM. SPE execution really happens — on scoped
 //! host threads, one per SPE, producing bitwise-identical results to
 //! the reference kernels — while the calibrated timing model accounts
-//! for DMA, double buffering, messages, and barriers.
+//! for DMA, double buffering, messages, and barriers. The SPE threads
+//! only compute and roll DMA faults; every modeled number comes from
+//! one [`CellCalibration::call_cost`] per kernel call.
 
 use crate::dma::DmaEngine;
 use crate::fsm::{PpeMessage, SpeFsm};
-use crate::timing::{CellCalibration, KernelKind};
+use crate::timing::{first_level, CellCalibration, KernelKind};
 use parking_lot::Mutex;
 use plf_phylo::clv::{Clv, TransitionMatrices};
-use plf_phylo::constants::DMA_MAX_BYTES;
 use plf_phylo::dna::N_STATES;
 use plf_phylo::kernels::{simd4, FusedDown, FusedRoot, FusedScale, PlfBackend, SimdSchedule};
 use plf_phylo::metrics::{Kernel, KernelTimer, PlfCounters};
@@ -29,9 +30,9 @@ pub struct CellRunStats {
     pub modeled_seconds: f64,
     /// Kernel calls executed.
     pub kernel_calls: u64,
-    /// DMA commands issued (each ≤ 16 KB).
+    /// DMA commands (each ≤ 16 KB) the modeled kernel calls issue.
     pub dma_commands: u64,
-    /// Local-Store chunks processed.
+    /// Local-Store chunks the modeled kernel calls stream.
     pub chunks: u64,
 }
 
@@ -44,8 +45,6 @@ pub struct CellBackend {
     fsms: Vec<SpeFsm>,
     configured_patterns: Option<usize>,
     stats: CellRunStats,
-    /// Shared event counters updated from SPE threads.
-    spe_counters: Mutex<(u64, u64)>, // (dma_commands, chunks)
     /// Optional fault source (DMA failures, output corruption).
     injector: Option<Arc<FaultInjector>>,
     /// Optional shared observability counters.
@@ -64,7 +63,6 @@ impl CellBackend {
             fsms: vec![SpeFsm::new(); n_spes],
             configured_patterns: None,
             stats: CellRunStats::default(),
-            spe_counters: Mutex::new((0, 0)),
             injector: None,
             metrics: None,
         }
@@ -78,8 +76,9 @@ impl CellBackend {
     }
 
     /// Attach shared observability counters: kernel timings, rescale
-    /// events, and per-chunk DMA accounting (bytes, ≤16 KB commands,
-    /// modeled bus seconds, double-buffer overlap savings).
+    /// events, and each call's modeled DMA traffic from
+    /// [`CellCalibration::call_cost`] (bytes, ≤16 KB commands, the
+    /// slowest SPE's serialized DMA seconds, double-buffer savings).
     pub fn with_metrics(mut self, counters: Arc<PlfCounters>) -> CellBackend {
         self.metrics = Some(counters);
         self
@@ -111,18 +110,12 @@ impl CellBackend {
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> CellRunStats {
-        let (dma, chunks) = *self.spe_counters.lock();
-        CellRunStats {
-            dma_commands: dma,
-            chunks,
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Reset statistics (e.g. between measured phases).
     pub fn reset_stats(&mut self) {
         self.stats = CellRunStats::default();
-        *self.spe_counters.lock() = (0, 0);
     }
 
     /// Send Finalize to every SPE (ends the FSM lifecycle).
@@ -132,27 +125,10 @@ impl CellBackend {
         }
     }
 
-    /// First-level even split of `m` patterns over the SPEs; ranges are
-    /// even-sized (128-byte DMA alignment at 64 B/pattern).
-    fn first_level(&self, m: usize) -> Vec<std::ops::Range<usize>> {
-        let mut per = m.div_ceil(self.n_spes);
-        if per % 2 == 1 {
-            per += 1;
-        }
-        let mut out = Vec::with_capacity(self.n_spes);
-        let mut start = 0;
-        while start < m {
-            let end = (start + per).min(m);
-            out.push(start..end);
-            start = end;
-        }
-        out
-    }
-
     fn ensure_configured(&mut self, m: usize, kind: KernelKind, r: usize) -> Result<(), PlfError> {
         if self.configured_patterns != Some(m) {
             let chunk = self.cal.chunk_patterns(kind, r);
-            let ranges = self.first_level(m);
+            let ranges = first_level(m, self.n_spes);
             for (i, fsm) in self.fsms.iter_mut().enumerate() {
                 let patterns = ranges.get(i).map_or(0, |r| r.len());
                 fsm.handle(PpeMessage::Configure {
@@ -177,7 +153,7 @@ impl CellBackend {
 
     /// The DMA engine SPE threads roll per chunk transfer.
     fn dma_engine(&self) -> DmaEngine {
-        let engine = DmaEngine::new(self.n_spes, self.chips);
+        let engine = DmaEngine::new();
         match &self.injector {
             Some(inj) => engine.with_fault_injector(Arc::clone(inj)),
             None => engine,
@@ -193,114 +169,103 @@ impl CellBackend {
         }
     }
 
+    /// Bill one modeled kernel launch over `m` patterns: one
+    /// [`CellCalibration::call_cost`] feeds the run stats and the
+    /// shared counters.
     fn account_call(&mut self, kind: KernelKind, m: usize, r: usize) {
-        self.stats.kernel_calls += 1;
-        let t = self
+        let cost = self
             .cal
-            .call_time(kind, self.schedule, m, r, self.n_spes, self.chips);
-        self.stats.modeled_seconds += t;
+            .call_cost(kind, self.schedule, m, r, self.n_spes, self.chips);
+        self.stats.kernel_calls += 1;
+        self.stats.modeled_seconds += cost.seconds;
+        self.stats.dma_commands += cost.dma_commands;
+        self.stats.chunks += cost.chunks;
         if let Some(counters) = &self.metrics {
-            if self.cal.double_buffered {
-                // What the same call would cost with DMA and compute
-                // serialized — the difference is what double buffering
-                // hides (the paper's overlap argument, §3.3).
-                let mut serial = self.cal.clone();
-                serial.double_buffered = false;
-                let t_serial =
-                    serial.call_time(kind, self.schedule, m, r, self.n_spes, self.chips);
-                counters.record_overlap_saved((t_serial - t).max(0.0));
-            }
+            counters.record_transfer(
+                cost.bytes_in,
+                cost.bytes_out,
+                cost.dma_commands,
+                cost.dma_seconds,
+            );
+            counters.record_overlap_saved(cost.hidden_seconds);
         }
     }
 
-    /// Run `work` over each SPE's chunk sub-ranges on scoped threads.
+    /// Run `work` over each SPE's block in Local-Store-sized chunks,
+    /// one scoped thread per SPE, and return the sum of what `work`
+    /// returns.
     ///
-    /// `out` is the output CLV slice for the *whole* call; each SPE gets
-    /// its disjoint sub-slice. `work(spe_range_start, chunk_range, out_chunk)`
-    /// executes one Local-Store chunk. Every chunk's in/out movement goes
-    /// through the (possibly fault-injected) DMA engine; the first DMA
-    /// failure aborts that SPE's block and surfaces as the call's error.
+    /// `out` is the whole call's output CLV. `scalers` is the scaler's
+    /// ln-scaler vector (one slot per pattern), or empty for the other
+    /// kernels; both are split along the first-level ranges, so each
+    /// SPE owns disjoint sub-slices. `work(patterns, out_chunk,
+    /// scaler_chunk)` executes one chunk. Each chunk rolls the DMA
+    /// engine twice, operands in then results out; the first failure
+    /// stops that SPE's block and surfaces as the call's error.
     fn run_on_spes<F>(
         &self,
-        m: usize,
-        stride: usize,
         kind: KernelKind,
         r: usize,
         out: &mut [f32],
+        scalers: &mut [f32],
         work: F,
-    ) -> Result<(), PlfError>
+    ) -> Result<u64, PlfError>
     where
-        F: Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
+        F: Fn(std::ops::Range<usize>, &mut [f32], &mut [f32]) -> u64 + Sync,
     {
-        let ranges = self.first_level(m);
+        let stride = r * N_STATES;
+        let scaler_stride = usize::from(!scalers.is_empty());
+        let ranges = first_level(out.len() / stride, self.n_spes);
         let chunk_patterns = self.cal.chunk_patterns(kind, r);
-        let counters = &self.spe_counters;
-        let metrics = self.metrics.as_deref();
-        let dma = self.dma_engine();
-        let dma = &dma;
+        let dma = &self.dma_engine();
         let error: Mutex<Option<PlfError>> = Mutex::new(None);
-        let error_ref = &error;
-        let work = &work;
-        crossbeam::thread::scope(|scope| {
-            let mut rest = out;
-            for range in &ranges {
-                let len = range.len() * stride;
-                let (head, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let range = range.clone();
-                scope.spawn(move |_| {
-                    let mut local_dma = 0u64;
-                    let mut local_chunks = 0u64;
-                    let mut local_bytes_in = 0u64;
-                    let mut local_bytes_out = 0u64;
-                    let mut local_bus_seconds = 0.0f64;
+        let (error_ref, work) = (&error, &work);
+        let joined = crossbeam::thread::scope(|scope| {
+            let (mut out_rest, mut sc_rest) = (out, scalers);
+            let mut spes = Vec::with_capacity(ranges.len());
+            for range in ranges {
+                let (out_spe, tail) =
+                    std::mem::take(&mut out_rest).split_at_mut(range.len() * stride);
+                out_rest = tail;
+                let (sc_spe, tail) =
+                    std::mem::take(&mut sc_rest).split_at_mut(range.len() * scaler_stride);
+                sc_rest = tail;
+                spes.push(scope.spawn(move |_| {
+                    let mut sum = 0;
                     let mut start = range.start;
                     while start < range.end {
                         let end = (start + chunk_patterns).min(range.end);
-                        // operands in + result out, each ≤16 KB per command
                         let bytes_in = (end - start) * kind.bytes_in_per_pattern(r);
                         let bytes_out = (end - start) * kind.bytes_out_per_pattern(r);
-                        let moved = dma.transfer(bytes_in as u64).and_then(|t_in| {
-                            dma.transfer(bytes_out as u64).map(|t_out| t_in + t_out)
-                        });
-                        match moved {
-                            Ok(t) => local_bus_seconds += t,
-                            Err(e) => {
-                                error_ref.lock().get_or_insert(e);
-                                break;
-                            }
+                        let moved = dma
+                            .transfer(bytes_in as u64)
+                            .and_then(|()| dma.transfer(bytes_out as u64));
+                        if let Err(e) = moved {
+                            error_ref.lock().get_or_insert(e);
+                            break;
                         }
-                        let off = (start - range.start) * stride;
-                        let out_chunk = &mut head[off..off + (end - start) * stride];
-                        work(start..end, out_chunk);
-                        local_chunks += 1;
-                        local_bytes_in += bytes_in as u64;
-                        local_bytes_out += bytes_out as u64;
-                        local_dma += bytes_in.div_ceil(DMA_MAX_BYTES) as u64
-                            + bytes_out.div_ceil(DMA_MAX_BYTES) as u64;
+                        let (lo, hi) = (start - range.start, end - range.start);
+                        sum += work(
+                            start..end,
+                            &mut out_spe[lo * stride..hi * stride],
+                            &mut sc_spe[lo * scaler_stride..hi * scaler_stride],
+                        );
                         start = end;
                     }
-                    if let Some(c) = metrics {
-                        c.record_transfer(
-                            local_bytes_in,
-                            local_bytes_out,
-                            local_dma,
-                            local_bus_seconds,
-                        );
-                    }
-                    let mut c = counters.lock();
-                    c.0 += local_dma;
-                    c.1 += local_chunks;
-                });
+                    sum
+                }));
             }
+            spes.into_iter()
+                .try_fold(0, |total, spe| spe.join().map(|sum| total + sum))
         })
-        .map_err(|payload| PlfError::WorkerPanic {
+        .and_then(|joined| joined);
+        let total = joined.map_err(|payload| PlfError::WorkerPanic {
             backend: self.name(),
             detail: panic_message(payload.as_ref()),
         })?;
         match error.into_inner() {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(total),
         }
     }
 }
@@ -373,9 +338,10 @@ impl PlfBackend for CellBackend {
         let (m, r) = (clv.n_patterns(), clv.n_rates());
         self.ensure_configured(m, KernelKind::Scale, r)?;
         self.dispatch(PpeMessage::RunScale)?;
-        self.scaler_pass(clv, ln_scalers)?;
+        let rescaled = self.scaler_pass(clv, ln_scalers)?;
         self.maybe_corrupt(clv.as_mut_slice());
         self.account_call(KernelKind::Scale, m, r);
+        self.record_rescaled(rescaled);
         Ok(())
     }
 
@@ -433,15 +399,13 @@ impl PlfBackend for CellBackend {
         let _timer = KernelTimer::start(self.metrics.as_ref(), Kernel::Scale, total_m);
         self.ensure_configured(first_m, KernelKind::Scale, r)?;
         self.dispatch(PpeMessage::RunScale)?;
+        let mut rescaled = 0;
         for op in ops.iter_mut() {
-            self.scaler_pass(op.clv, op.ln_scalers)?;
-            if let Some(inj) = &self.injector {
-                if let Some(kind) = inj.fire_corruption() {
-                    inj.corrupt(op.clv.as_mut_slice(), kind);
-                }
-            }
+            rescaled += self.scaler_pass(op.clv, op.ln_scalers)?;
+            self.maybe_corrupt(op.clv.as_mut_slice());
         }
         self.account_call(KernelKind::Scale, total_m, r);
+        self.record_rescaled(rescaled);
         Ok(())
     }
 }
@@ -462,11 +426,13 @@ impl CellBackend {
         self.ensure_configured(m, KernelKind::Down, r)?;
         let schedule = self.schedule;
         let (l, rt) = (left.as_slice(), right.as_slice());
-        self.run_on_spes(m, stride, KernelKind::Down, r, out.as_mut_slice(), |pats, o| {
+        self.run_on_spes(KernelKind::Down, r, out.as_mut_slice(), &mut [], |pats, o, _| {
             let s = pats.start * stride;
             let e = pats.end * stride;
             simd4::cond_like_down_range(schedule, &l[s..e], p_left, &rt[s..e], p_right, o, r);
-        })
+            0
+        })?;
+        Ok(())
     }
 
     /// One `CondLikeRoot` over the SPEs, without dispatch/accounting.
@@ -486,88 +452,33 @@ impl CellBackend {
         let schedule = self.schedule;
         let (sa, sb) = (a.as_slice(), b.as_slice());
         let sc = c.map(|(clv, p)| (clv.as_slice(), p));
-        self.run_on_spes(m, stride, kind, r, out.as_mut_slice(), |pats, o| {
+        self.run_on_spes(kind, r, out.as_mut_slice(), &mut [], |pats, o, _| {
             let s = pats.start * stride;
             let e = pats.end * stride;
             let cc = sc.map(|(slice, p)| (&slice[s..e], p));
             simd4::cond_like_root_range(schedule, &sa[s..e], p_a, &sb[s..e], p_b, cc, o, r);
+            0
+        })?;
+        Ok(())
+    }
+
+    /// One `CondLikeScaler` over the SPEs, without dispatch/accounting;
+    /// returns the number of patterns rescaled.
+    fn scaler_pass(&mut self, clv: &mut Clv, ln_scalers: &mut [f32]) -> Result<u64, PlfError> {
+        let (m, r) = (clv.n_patterns(), clv.n_rates());
+        self.ensure_configured(m, KernelKind::Scale, r)?;
+        // The scaler rescales the CLV in place and writes one ln-scaler
+        // slot per pattern; the SPE walk splits both.
+        self.run_on_spes(KernelKind::Scale, r, clv.as_mut_slice(), ln_scalers, |_, c, sc| {
+            simd4::cond_like_scaler_range(c, sc, r)
         })
     }
 
-    /// One `CondLikeScaler` over the SPEs, without dispatch/accounting.
-    fn scaler_pass(&mut self, clv: &mut Clv, ln_scalers: &mut [f32]) -> Result<(), PlfError> {
-        let (m, r) = (clv.n_patterns(), clv.n_rates());
-        let stride = r * N_STATES;
-        self.ensure_configured(m, KernelKind::Scale, r)?;
-        // The scaler mutates the CLV in place and writes the scaler
-        // vector; split both across SPEs.
-        let ranges = self.first_level(m);
-        let chunk_patterns = self.cal.chunk_patterns(KernelKind::Scale, r);
-        let counters = &self.spe_counters;
-        let metrics = self.metrics.as_deref();
-        let dma_engine = self.dma_engine();
-        let dma_engine = &dma_engine;
-        let error: Mutex<Option<PlfError>> = Mutex::new(None);
-        let error_ref = &error;
-        crossbeam::thread::scope(|scope| {
-            let mut clv_rest = clv.as_mut_slice();
-            let mut sc_rest = &mut *ln_scalers;
-            for range in &ranges {
-                let len = range.len() * stride;
-                let (clv_head, clv_tail) = clv_rest.split_at_mut(len);
-                clv_rest = clv_tail;
-                let (sc_head, sc_tail) = sc_rest.split_at_mut(range.len());
-                sc_rest = sc_tail;
-                scope.spawn(move |_| {
-                    let mut chunks = 0u64;
-                    let mut dma = 0u64;
-                    let mut bytes_moved = 0u64;
-                    let mut bus_seconds = 0.0f64;
-                    let mut rescaled = 0u64;
-                    let mut start = 0usize;
-                    while start < clv_head.len() / stride {
-                        let end = (start + chunk_patterns).min(clv_head.len() / stride);
-                        let bytes = (end - start) * stride * 4;
-                        let moved = dma_engine.transfer(bytes as u64).and_then(|t_in| {
-                            dma_engine.transfer(bytes as u64).map(|t_out| t_in + t_out)
-                        });
-                        match moved {
-                            Ok(t) => bus_seconds += t,
-                            Err(e) => {
-                                error_ref.lock().get_or_insert(e);
-                                break;
-                            }
-                        }
-                        rescaled += simd4::cond_like_scaler_range(
-                            &mut clv_head[start * stride..end * stride],
-                            &mut sc_head[start..end],
-                            r,
-                        );
-                        chunks += 1;
-                        bytes_moved += bytes as u64;
-                        dma += 2 * bytes.div_ceil(DMA_MAX_BYTES) as u64;
-                        start = end;
-                    }
-                    if let Some(c) = metrics {
-                        // In + out symmetric: the chunk is read, rescaled
-                        // in place, and written back.
-                        c.record_transfer(bytes_moved, bytes_moved, dma, bus_seconds);
-                        c.record_rescaled(rescaled);
-                    }
-                    let mut c = counters.lock();
-                    c.0 += dma;
-                    c.1 += chunks;
-                });
-            }
-        })
-        .map_err(|payload| PlfError::WorkerPanic {
-            backend: self.name(),
-            detail: panic_message(payload.as_ref()),
-        })?;
-        if let Some(e) = error.into_inner() {
-            return Err(e);
+    /// Record one scaler call's rescaled patterns.
+    fn record_rescaled(&self, rescaled: u64) {
+        if let Some(counters) = &self.metrics {
+            counters.record_rescaled(rescaled);
         }
-        Ok(())
     }
 }
 
@@ -614,6 +525,38 @@ mod tests {
     }
 
     #[test]
+    fn multi_chunk_spe_walks_match_scalar_bitwise() {
+        // 3,000 random columns over one or two SPEs: every kernel's walk
+        // (the scaler's ln-scaler split included) spans several
+        // Local-Store chunks.
+        let (tree, _, model) = toy();
+        let mut x = 2009u64;
+        let rows: Vec<(String, String)> = ["a", "b", "c", "d", "e", "f", "g"]
+            .iter()
+            .map(|name| {
+                let seq = (0..3000)
+                    .map(|_| {
+                        x = plf_phylo::splitmix64(x);
+                        ['A', 'C', 'G', 'T'][(x % 4) as usize]
+                    })
+                    .collect();
+                (name.to_string(), seq)
+            })
+            .collect();
+        let rows: Vec<(&str, &str)> = rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+        let aln = Alignment::from_strings(&rows).unwrap().compress();
+        let mut ref_eval = TreeLikelihood::new(&tree, &aln, model.clone()).unwrap();
+        let expect = ref_eval.log_likelihood(&tree, &mut ScalarBackend).unwrap();
+        let scale_chunk = CellCalibration::default().chunk_patterns(KernelKind::Scale, 4);
+        for n in [1usize, 2] {
+            assert!(aln.n_patterns() / n > scale_chunk);
+            let mut backend = CellBackend::ps3().with_spes(n);
+            let mut eval = TreeLikelihood::new(&tree, &aln, model.clone()).unwrap();
+            assert_eq!(eval.log_likelihood(&tree, &mut backend).unwrap(), expect, "{n} SPEs");
+        }
+    }
+
+    #[test]
     fn modeled_time_accumulates() {
         let (tree, aln, model) = toy();
         let mut backend = CellBackend::ps3();
@@ -656,19 +599,6 @@ mod tests {
         let l2 = e2.log_likelihood(&tree, &mut row).unwrap();
         assert!((l1 - l2).abs() < 1e-3);
         assert!(row.stats().modeled_seconds > col.stats().modeled_seconds);
-    }
-
-    #[test]
-    fn first_level_split_covers_all_patterns_evenly() {
-        let backend = CellBackend::qs20();
-        for m in [7usize, 16, 100, 8543] {
-            let ranges = backend.first_level(m);
-            assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), m);
-            assert!(ranges.len() <= backend.n_spes());
-            for r in &ranges[..ranges.len().saturating_sub(1)] {
-                assert_eq!(r.len() % 2, 0, "m={m} range {r:?} not 128B-aligned");
-            }
-        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! DMA cost accounting and the double-buffering pipeline of Figure 7.
+//! SPE DMA: the fault-injectable transfer roll and the
+//! double-buffering pipeline of Figure 7.
 //!
 //! Each SPE overlaps DMA with computation: while chunk *i* is being
 //! computed, the results of chunk *i−1* stream out and the operands of
 //! chunk *i+1* stream in. A step of the pipeline therefore advances by
 //! `max(compute_i, dma_out_{i−1} + dma_in_{i+1})`, plus the initial fill
 //! and the final drain — exactly the T/C/R schedule the paper draws.
+//! What a transfer costs is [`crate::timing`]'s business; the SPE
+//! threads only roll [`DmaEngine::transfer`] for injected faults.
 
 use plf_phylo::resilience::{FaultInjector, FaultSite, PlfError};
-use plf_simcore::xfer::TransferModel;
-// (The 16 KB DMA bound itself lives in plf_phylo::constants; see the
-// `transfer_model_mirrors_shared_constants` test below.)
 use std::sync::Arc;
 
 /// Per-chunk costs in seconds.
@@ -23,30 +23,18 @@ pub struct ChunkCost {
     pub dma_out: f64,
 }
 
-/// DMA engine wrapper: the EIB transfer model plus bandwidth sharing.
-#[derive(Debug, Clone)]
+/// The DMA engine SPE threads move chunks through: one fault roll per
+/// transfer, nothing else.
+#[derive(Debug, Clone, Default)]
 pub struct DmaEngine {
-    model: TransferModel,
-    /// Fraction of aggregate memory bandwidth this SPE can claim
-    /// (1/active_spes under full contention).
-    bandwidth_share: f64,
     /// Optional fault source; each [`DmaEngine::transfer`] rolls it.
     injector: Option<Arc<FaultInjector>>,
 }
 
 impl DmaEngine {
-    /// Engine for one of `active_spes` concurrently streaming SPEs over
-    /// `chips` memory interfaces (the QS20's second chip is reached over
-    /// the inter-Cell BIF, which does not add usable memory bandwidth
-    /// for a shared data set — hence aggregate bandwidth stays one
-    /// XDR interface's worth).
-    pub fn new(active_spes: usize, _chips: usize) -> DmaEngine {
-        assert!(active_spes >= 1);
-        DmaEngine {
-            model: TransferModel::cell_dma(),
-            bandwidth_share: 1.0 / active_spes as f64,
-            injector: None,
-        }
+    /// A fault-free engine.
+    pub fn new() -> DmaEngine {
+        DmaEngine::default()
     }
 
     /// Attach a fault injector; subsequent [`DmaEngine::transfer`] calls
@@ -56,9 +44,8 @@ impl DmaEngine {
         self
     }
 
-    /// Perform a simulated transfer of `bytes`: one injector roll, then
-    /// the modeled time on success.
-    pub fn transfer(&self, bytes: u64) -> Result<f64, PlfError> {
+    /// Perform a simulated transfer of `bytes`: one injector roll.
+    pub fn transfer(&self, bytes: u64) -> Result<(), PlfError> {
         if let Some(inj) = &self.injector {
             if inj.fire(FaultSite::DmaTransfer) {
                 return Err(PlfError::Transfer {
@@ -68,23 +55,7 @@ impl DmaEngine {
                 });
             }
         }
-        Ok(self.time(bytes))
-    }
-
-    /// Seconds to move `bytes` for this SPE, honouring the 16 KB command
-    /// split and the contended bandwidth share.
-    pub fn time(&self, bytes: u64) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        let n = self.model.n_transfers(bytes);
-        n as f64 * self.model.latency_s
-            + bytes as f64 / (self.model.bandwidth_bps * self.bandwidth_share)
-    }
-
-    /// Number of DMA commands `bytes` requires (each ≤ 16 KB).
-    pub fn n_commands(&self, bytes: u64) -> u64 {
-        self.model.n_transfers(bytes)
+        Ok(())
     }
 }
 
@@ -142,14 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_share_splits_evenly() {
-        let solo = DmaEngine::new(1, 1);
-        let crowd = DmaEngine::new(16, 2);
-        let b = 64 * 1024;
-        assert!(crowd.time(b) > 10.0 * solo.time(b));
-    }
-
-    #[test]
     fn transfer_model_mirrors_shared_constants() {
         // plf-simcore sits below plf-phylo in the dependency graph, so
         // it cannot import phylo::constants; its independently written
@@ -157,31 +120,23 @@ mod tests {
         // instead. This test is the other half of that bargain: the
         // two definitions of the 16 KB DMA command bound must agree.
         assert_eq!(
-            TransferModel::cell_dma().max_transfer,
+            plf_simcore::xfer::TransferModel::cell_dma().max_transfer,
             Some(plf_phylo::constants::DMA_MAX_BYTES)
         );
     }
 
     #[test]
-    fn command_split_at_16k() {
-        let e = DmaEngine::new(1, 1);
-        assert_eq!(e.n_commands(16 * 1024), 1);
-        assert_eq!(e.n_commands(16 * 1024 + 1), 2);
-    }
-
-    #[test]
     fn transfer_without_injector_never_fails() {
-        let e = DmaEngine::new(4, 1);
+        let e = DmaEngine::new();
         for bytes in [0u64, 1, 16 * 1024, 1 << 20] {
-            let t = e.transfer(bytes).unwrap();
-            assert_eq!(t, e.time(bytes));
+            assert!(e.transfer(bytes).is_ok());
         }
     }
 
     #[test]
     fn scheduled_dma_fault_fails_once_then_recovers() {
         let inj = Arc::new(FaultInjector::new(5).schedule(FaultSite::DmaTransfer, 1));
-        let e = DmaEngine::new(4, 1).with_fault_injector(inj);
+        let e = DmaEngine::new().with_fault_injector(inj);
         assert!(e.transfer(1024).is_ok());
         assert!(matches!(
             e.transfer(1024),

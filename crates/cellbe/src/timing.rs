@@ -12,11 +12,21 @@
 //!   which the mild `eff_exp` straggler exponent reproduces;
 //! * PPE↔SPE control uses direct problem-state stores (~sub-µs);
 //!   §3.3 chose them precisely because they are the cheapest mechanism.
+//!
+//! This module is the only place Cell cost is computed:
+//! [`CellCalibration::call_cost`] prices a kernel call in one pass
+//! over the same first-level split ([`first_level`]) and chunk walk
+//! the backend's SPE threads execute, and everything the backend
+//! reports — modeled seconds, DMA traffic, double-buffering savings —
+//! comes from it.
 
-use crate::dma::{double_buffered_time, ChunkCost, DmaEngine};
+use crate::dma::{double_buffered_time, ChunkCost};
 use crate::ls::max_chunk_patterns;
+use plf_phylo::constants::DMA_MAX_BYTES;
 use plf_phylo::kernels::SimdSchedule;
 use plf_simcore::workload::ENTRY_BYTES;
+use plf_simcore::xfer::TransferModel;
+use std::ops::Range;
 
 /// Which PLF kernel a call runs (costs differ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +72,45 @@ impl KernelKind {
             _ => clv,
         }
     }
+}
+
+/// First-level even split of `m` patterns over `n_spes` SPEs (§3.3).
+/// Every range but the last holds the same even count (128-byte DMA
+/// alignment at 64 B/pattern), so the first range is the slowest SPE's.
+pub fn first_level(m: usize, n_spes: usize) -> Vec<Range<usize>> {
+    let mut per = m.div_ceil(n_spes);
+    if per % 2 == 1 {
+        per += 1;
+    }
+    let mut out = Vec::with_capacity(n_spes);
+    let mut start = 0;
+    while start < m {
+        let end = (start + per).min(m);
+        out.push(start..end);
+        start = end;
+    }
+    out
+}
+
+/// The whole modeled cost of one kernel call
+/// ([`CellCalibration::call_cost`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CallCost {
+    /// Modeled wall-clock seconds of the call.
+    pub seconds: f64,
+    /// The slowest SPE's DMA seconds with every transfer serialized.
+    pub dma_seconds: f64,
+    /// Seconds of the call double buffering hides behind compute
+    /// (0 when it is disabled); never more than `dma_seconds`.
+    pub hidden_seconds: f64,
+    /// Operand bytes DMA'd into the Local Stores, all SPEs.
+    pub bytes_in: u64,
+    /// Result bytes DMA'd back to main memory, all SPEs.
+    pub bytes_out: u64,
+    /// DMA commands (each ≤ 16 KB), all SPEs.
+    pub dma_commands: u64,
+    /// Local-Store chunks, all SPEs.
+    pub chunks: u64,
 }
 
 /// Calibration constants for one Cell system.
@@ -158,19 +207,20 @@ impl CellCalibration {
         max_chunk_patterns(kind.streams(), r * ENTRY_BYTES, self.constants_bytes)
     }
 
-    /// Per-SPE chunk pipeline for `patterns` patterns.
+    /// Per-SPE chunk pipeline for `patterns` patterns, each transfer
+    /// on the SPE's own (uncontended) DMA link.
     pub fn chunk_costs(
         &self,
         kind: KernelKind,
         schedule: SimdSchedule,
         patterns: usize,
         r: usize,
-        engine: &DmaEngine,
         n_spes: usize,
     ) -> Vec<ChunkCost> {
         if patterns == 0 {
             return Vec::new();
         }
+        let link = TransferModel::cell_dma();
         let chunk = self.chunk_patterns(kind, r);
         let cyc = self.cycles(kind, schedule);
         // Straggler/imbalance inflation grows slowly with the team size.
@@ -186,21 +236,74 @@ impl CellCalibration {
                 first = false;
             }
             out.push(ChunkCost {
-                dma_in: engine.time(bytes_in),
+                dma_in: link.time(bytes_in),
                 compute: p as f64 * r as f64 * cyc * imbalance / self.freq_hz,
-                dma_out: engine.time((p * kind.bytes_out_per_pattern(r)) as u64),
+                dma_out: link.time((p * kind.bytes_out_per_pattern(r)) as u64),
             });
             left -= p;
         }
         out
     }
 
-    /// Full modeled time of one kernel call over `m` patterns on
-    /// `n_spes` SPEs (`chips` chips): control + the larger of (a) the
-    /// slowest SPE's double-buffered pipeline with an uncontended DMA
-    /// link and (b) the aggregate-memory-bandwidth floor — DMA traffic
-    /// overlaps compute per SPE, but the XDR interface bounds the sum of
-    /// all SPEs' streams.
+    /// The whole modeled cost of one kernel call over `m` patterns on
+    /// `n_spes` SPEs (`chips` chips).
+    ///
+    /// `seconds` is control plus the larger of (a) the slowest SPE's
+    /// chunk pipeline — double-buffered, or serialized when that is
+    /// disabled — and (b) the aggregate-memory-bandwidth floor: DMA
+    /// traffic overlaps compute per SPE, but the XDR interface bounds
+    /// the sum of all SPEs' streams. `hidden_seconds` is what the same
+    /// call would cost serialized, minus `seconds` (the paper's overlap
+    /// argument, §3.3). The traffic counts walk every SPE's range in
+    /// the chunks the SPE threads use, charging the per-pattern bytes
+    /// of [`KernelKind`].
+    pub fn call_cost(
+        &self,
+        kind: KernelKind,
+        schedule: SimdSchedule,
+        m: usize,
+        r: usize,
+        n_spes: usize,
+        chips: usize,
+    ) -> CallCost {
+        let ranges = first_level(m, n_spes);
+        let chunk = self.chunk_patterns(kind, r);
+        let mut cost = CallCost::default();
+        for range in &ranges {
+            let mut start = range.start;
+            while start < range.end {
+                let p = chunk.min(range.end - start);
+                let bytes_in = p * kind.bytes_in_per_pattern(r);
+                let bytes_out = p * kind.bytes_out_per_pattern(r);
+                cost.chunks += 1;
+                cost.bytes_in += bytes_in as u64;
+                cost.bytes_out += bytes_out as u64;
+                cost.dma_commands +=
+                    (bytes_in.div_ceil(DMA_MAX_BYTES) + bytes_out.div_ceil(DMA_MAX_BYTES)) as u64;
+                start += p;
+            }
+        }
+        let slowest = ranges.first().map_or(0, |r| r.len());
+        let chunks = self.chunk_costs(kind, schedule, slowest, r, n_spes);
+        let mut serial = 0.0;
+        for c in &chunks {
+            cost.dma_seconds += c.dma_in + c.dma_out;
+            serial += c.dma_in + c.compute + c.dma_out;
+        }
+        let pipeline = if self.double_buffered {
+            double_buffered_time(&chunks)
+        } else {
+            serial
+        };
+        let bw_floor = (cost.bytes_in + cost.bytes_out) as f64 / self.aggregate_bw;
+        let control = self.control_cost(n_spes, chips);
+        cost.seconds = control + pipeline.max(bw_floor);
+        cost.hidden_seconds = (control + serial.max(bw_floor) - cost.seconds).max(0.0);
+        cost
+    }
+
+    /// Modeled seconds of one kernel call: [`CellCalibration::call_cost`]'s
+    /// `seconds`.
     pub fn call_time(
         &self,
         kind: KernelKind,
@@ -210,22 +313,7 @@ impl CellCalibration {
         n_spes: usize,
         chips: usize,
     ) -> f64 {
-        let engine = DmaEngine::new(1, chips); // per-SPE link, uncontended
-        // First-level split is even, so the slowest SPE holds ceil(m/n).
-        let patterns = m.div_ceil(n_spes);
-        let chunks = self.chunk_costs(kind, schedule, patterns, r, &engine, n_spes);
-        let pipeline = if self.double_buffered {
-            double_buffered_time(&chunks)
-        } else {
-            chunks
-                .iter()
-                .map(|c| c.dma_in + c.compute + c.dma_out)
-                .sum()
-        };
-        let total_bytes =
-            (m * (kind.bytes_in_per_pattern(r) + kind.bytes_out_per_pattern(r))) as f64;
-        let bw_floor = total_bytes / self.aggregate_bw;
-        self.control_cost(n_spes, chips) + pipeline.max(bw_floor)
+        self.call_cost(kind, schedule, m, r, n_spes, chips).seconds
     }
 }
 
@@ -292,9 +380,8 @@ mod tests {
     #[test]
     fn chunks_fit_ls_and_cover_all_patterns() {
         let c = CellCalibration::default();
-        let engine = DmaEngine::new(6, 1);
         for kind in [KernelKind::Down, KernelKind::Root3, KernelKind::Scale] {
-            let chunks = c.chunk_costs(kind, SimdSchedule::ColWise, 8543, 4, &engine, 6);
+            let chunks = c.chunk_costs(kind, SimdSchedule::ColWise, 8543, 4, 6);
             assert!(!chunks.is_empty());
             let chunk_pats = c.chunk_patterns(kind, 4);
             assert!(chunks.len() == 8543usize.div_ceil(chunk_pats));
@@ -307,5 +394,51 @@ mod tests {
         let d = c.call_time(KernelKind::Down, SimdSchedule::ColWise, 20_000, 4, 6, 1);
         let r = c.call_time(KernelKind::Root3, SimdSchedule::ColWise, 20_000, 4, 6, 1);
         assert!(r > d);
+    }
+
+    #[test]
+    fn first_level_split_covers_all_patterns_evenly() {
+        for m in [7usize, 16, 100, 8543] {
+            let ranges = first_level(m, 16);
+            assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), m);
+            assert!(ranges.len() <= 16);
+            for r in &ranges[..ranges.len().saturating_sub(1)] {
+                assert_eq!(r.len() % 2, 0, "m={m} range {r:?} not 128B-aligned");
+            }
+        }
+    }
+
+    #[test]
+    fn call_cost_counts_every_spe_chunk_and_hides_at_most_the_dma() {
+        let c = CellCalibration::default();
+        for kind in [KernelKind::Down, KernelKind::Root3, KernelKind::Scale] {
+            for (m, n) in [(8543usize, 6usize), (20_000, 16), (7, 16), (0, 6)] {
+                let cost = c.call_cost(kind, SimdSchedule::ColWise, m, 4, n, 2);
+                let chunk = c.chunk_patterns(kind, 4);
+                let chunks: usize = first_level(m, n).iter().map(|r| r.len().div_ceil(chunk)).sum();
+                assert_eq!(cost.chunks, chunks as u64, "{kind:?} m={m}");
+                assert_eq!(cost.bytes_in, (m * kind.bytes_in_per_pattern(4)) as u64);
+                assert_eq!(cost.bytes_out, (m * kind.bytes_out_per_pattern(4)) as u64);
+                assert!(cost.dma_commands >= cost.chunks, "every chunk moves its results");
+                assert!(cost.hidden_seconds <= cost.dma_seconds, "{kind:?} m={m}");
+                assert_eq!(cost.seconds, c.call_time(kind, SimdSchedule::ColWise, m, 4, n, 2));
+                let serial = CellCalibration { double_buffered: false, ..c.clone() };
+                let t_serial = serial.call_time(kind, SimdSchedule::ColWise, m, 4, n, 2);
+                assert_eq!(cost.hidden_seconds, (t_serial - cost.seconds).max(0.0));
+                let off = serial.call_cost(kind, SimdSchedule::ColWise, m, 4, n, 2);
+                assert_eq!(off.hidden_seconds, 0.0);
+                assert_eq!((off.bytes_in, off.dma_commands), (cost.bytes_in, cost.dma_commands));
+            }
+        }
+    }
+
+    #[test]
+    fn scaler_only_writes_back() {
+        // The scaler's chunk is still Local-Store resident from the
+        // kernel that produced it: nothing in, CLV plus one ln slot out.
+        let c = CellCalibration::default();
+        let cost = c.call_cost(KernelKind::Scale, SimdSchedule::ColWise, 1000, 4, 6, 1);
+        assert_eq!(cost.bytes_in, 0);
+        assert_eq!(cost.bytes_out, 1000 * (4 * ENTRY_BYTES as u64 + 4));
     }
 }

@@ -17,6 +17,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use plf_phylo::splitmix64;
 use plfd::RetryPolicy;
 
 use crate::proto::{Request, Response};
@@ -70,14 +71,13 @@ fn connection_nonce(stream: &TcpStream) -> u64 {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
     let port = stream.local_addr().map(|a| a.port() as u64).unwrap_or(0);
-    let mut x = nanos
-        ^ (u64::from(std::process::id()) << 32)
-        ^ (port << 16)
-        ^ SEQ.fetch_add(1, Ordering::Relaxed);
-    // splitmix64 finalizer: spread the structured inputs over all bits.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    // splitmix64 spreads the structured inputs over all bits.
+    splitmix64(
+        nanos
+            ^ (u64::from(std::process::id()) << 32)
+            ^ (port << 16)
+            ^ SEQ.fetch_add(1, Ordering::Relaxed),
+    )
 }
 
 /// A blocking connection to a [`NetServer`](crate::server::NetServer).

@@ -19,7 +19,7 @@
 //! * [`poll`] — thin epoll facade (raw syscall FFI; no new deps).
 //! * [`tenant`] — WFQ virtual-time scheduler + token buckets.
 //! * [`shutdown`] — the one [`ShutdownFlag`](shutdown::ShutdownFlag)
-//!   shared by socket and stdio front ends, wired to SIGINT/SIGTERM.
+//!   the socket front end polls, wired to SIGINT/SIGTERM.
 //! * [`server`] — the reactor: accept → decode → fair-queue → submit →
 //!   poll tickets → write back, with graceful drain.
 //! * [`client`] — blocking client with the shared retry contract.

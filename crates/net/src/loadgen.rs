@@ -24,6 +24,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
+use plf_phylo::splitmix64;
 use plfd::RetryPolicy;
 use serde::Serialize;
 
@@ -34,15 +35,6 @@ use crate::wire::FrameDecoder;
 /// Compact a connection's output buffer once this many consumed bytes
 /// sit at its front (mirrors the server's rule; see `server.rs`).
 const OUT_COMPACT: usize = 64 * 1024;
-
-/// splitmix64: the repo-wide cheap deterministic mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Configuration for [`run`].
 #[derive(Debug, Clone)]

@@ -28,10 +28,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
-const O_NONBLOCK: i32 = 0o4000;
-
 /// `struct epoll_event` with the kernel's ABI layout. The kernel
 /// declares it packed on x86-64 only (64-bit `data` at offset 4,
 /// 12-byte stride); every other Linux architecture uses natural
@@ -51,7 +47,6 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
 }
 
 /// Which readiness directions a registration asks for.
@@ -230,29 +225,6 @@ impl Drop for Poller {
     }
 }
 
-/// Switch an arbitrary fd (notably stdin, which `std` offers no
-/// nonblocking API for) in or out of `O_NONBLOCK`.
-pub fn set_nonblocking_fd(fd: RawFd, nonblocking: bool) -> io::Result<()> {
-    // SAFETY: `fcntl` with F_GETFL/F_SETFL takes and returns plain
-    // integer flags for a caller-supplied fd; no pointers cross the
-    // boundary. A negative return is translated to errno.
-    unsafe {
-        let flags = fcntl(fd, F_GETFL, 0);
-        if flags < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let next = if nonblocking {
-            flags | O_NONBLOCK
-        } else {
-            flags & !O_NONBLOCK
-        };
-        if fcntl(fd, F_SETFL, next) < 0 {
-            return Err(io::Error::last_os_error());
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,13 +298,5 @@ mod tests {
             .expect("wait");
         // Peer close surfaces as readable (EOF) and/or RDHUP.
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
-    }
-
-    #[test]
-    fn stdin_flag_helper_roundtrips_on_a_pipe_like_fd() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let fd = listener.as_raw_fd();
-        set_nonblocking_fd(fd, true).expect("set");
-        set_nonblocking_fd(fd, false).expect("clear");
     }
 }

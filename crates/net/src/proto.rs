@@ -465,13 +465,8 @@ mod tests {
             let mut s = String::with_capacity(len);
             let mut x = seed;
             for _ in 0..len {
-                // splitmix64 step keeps draws independent of position.
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                s.push(alphabet[(z as usize) % alphabet.len()] as char);
+                x = plf_phylo::splitmix64(x);
+                s.push(alphabet[(x as usize) % alphabet.len()] as char);
             }
             s
         })

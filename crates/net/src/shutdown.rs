@@ -1,13 +1,9 @@
-//! One shutdown signal shared by every server front end.
+//! One shutdown signal for the server's reactor loop.
 //!
-//! Satellite of the `--listen` work: `plfr serve` used to own a private
-//! `static SHUTDOWN_REQUESTED` plus a stdin reader side-thread, and the
-//! drain path polled the static directly. That worked for one stdio
-//! loop but not for a process hosting a socket reactor *and* a stdio
-//! loop — each needs to observe the same request. [`ShutdownFlag`] is
-//! that shared observable: process-global when wired to SIGINT/SIGTERM,
-//! or test-local so unit tests can trigger drains without raising
-//! signals against their own test runner.
+//! [`ShutdownFlag`] is the observable the reactor polls instead of
+//! racing a signal against a blocking call: process-global when wired
+//! to SIGINT/SIGTERM, or test-local so unit tests can trigger drains
+//! without raising signals against their own test runner.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -73,7 +69,7 @@ impl ShutdownFlag {
         }
     }
 
-    /// Raise the latch by hand (tests, drain drills, stdio EOF).
+    /// Raise the latch by hand (tests, drain drills).
     ///
     /// Works on both variants; on `Global` it behaves exactly like a
     /// delivered SIGTERM.

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! — an 8-byte header, the payload, and a CRC-32 trailer computed over
-//! header *and* payload (the same reflected polynomial as the plfd
-//! journal, so a flipped bit anywhere in the frame is caught). `len`
+//! header *and* payload by the plfd journal's
+//! [`crc32`](plfd::journal::crc32), so a flipped bit anywhere in the
+//! frame is caught. `len`
 //! counts payload bytes only and is bounded by [`MAX_PAYLOAD`]; a
 //! larger prefix is rejected *before* any allocation, so a corrupt or
 //! hostile length cannot balloon memory.
@@ -27,6 +28,7 @@
 //! sits on the `plf-lint` L8 service path where a panic kills a
 //! connection multiplexing thousands of clients.
 
+use plfd::journal::crc32;
 use std::fmt;
 
 /// Frame magic: `"PL"` little-endian.
@@ -44,24 +46,6 @@ pub const HEADER_LEN: usize = 8;
 
 /// Bytes in the CRC trailer.
 pub const TRAILER_LEN: usize = 4;
-
-/// CRC-32 (IEEE reflected, poly 0xEDB88320) — bitwise form of the same
-/// checksum the plfd journal uses, table-free so the L8 service path
-/// stays free of slice indexing.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = u32::MAX;
-    for &b in data {
-        crc ^= b as u32;
-        let mut k = 0;
-        while k < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-            k += 1;
-        }
-    }
-    !crc
-}
 
 /// Frame discriminator: requests flow client → server, responses
 /// server → client.
@@ -416,14 +400,6 @@ impl<'a> WireReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_the_journal_vector() {
-        // Same known-answer vector the plfd journal's table-driven
-        // implementation is pinned to.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frame_roundtrip() {

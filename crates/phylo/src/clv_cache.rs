@@ -40,6 +40,7 @@
 use crate::clv::Clv;
 use crate::kernels::plan::{PlfOp, PlfPlan};
 use crate::model::SiteModel;
+use crate::splitmix64;
 use crate::tree::Tree;
 use std::collections::{HashMap, VecDeque};
 
@@ -47,14 +48,6 @@ use std::collections::{HashMap, VecDeque};
 const LEAF_TAG: u64 = 0x1eaf;
 const DOWN_TAG: u64 = 0xd01;
 const ROOT_TAG: u64 = 0x1007;
-
-/// SplitMix64 finalizer: the fingerprint stream's mixing function.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Fold `word` into the running fingerprint `acc`.
 fn mix(acc: u64, word: u64) -> u64 {

@@ -49,6 +49,17 @@ pub mod partition;
 pub mod resilience;
 pub mod tree;
 
+/// SplitMix64: the workspace's one cheap, stateless, deterministic
+/// 64-bit mixer (fingerprints, fault rolls, jitter, seeded streams).
+/// Advance a stream with `state = splitmix64(state)`.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::alignment::{Alignment, PatternAlignment};

@@ -25,6 +25,7 @@
 //! the watchdog respawn path); a blackout roll makes a worker's backend
 //! refuse a run of consecutive jobs (exercising the circuit breaker).
 
+use crate::splitmix64;
 use std::sync::Mutex;
 
 /// Where in a backend a fault can be injected.
@@ -137,13 +138,6 @@ struct Inner {
 pub struct FaultInjector {
     seed: u64,
     inner: Mutex<Inner>,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl FaultInjector {

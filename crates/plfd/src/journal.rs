@@ -144,8 +144,9 @@ const fn build_crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = build_crc32_table();
 
-/// CRC-32 (IEEE) of `data`; the per-record checksum in the frame header.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
+/// CRC-32 (IEEE) of `data`; the per-record checksum in the frame header
+/// here and the frame trailer of the plf-net wire protocol.
+pub fn crc32(data: &[u8]) -> u32 {
     let mut c = u32::MAX;
     for &b in data {
         // Index is masked to 0..=255, always in bounds for the
@@ -701,7 +702,8 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check value for "123456789".
+        // IEEE CRC-32 check value for "123456789"; the plf-net wire
+        // trailer is pinned to the same vectors through this function.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }

@@ -31,6 +31,7 @@
 use crate::health::AdmissionController;
 use crate::job::{DatasetId, Job, JobOutcome, Priority};
 use plf_phylo::metrics::ServiceCounters;
+use plf_phylo::splitmix64;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -163,14 +164,6 @@ impl Default for RetryPolicy {
             seed: 2009,
         }
     }
-}
-
-/// SplitMix64 step: the jitter stream's stateless PRNG.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

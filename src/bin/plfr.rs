@@ -5,7 +5,7 @@
 //! plfr likelihood --alignment data.fasta [--tree tree.nwk] [--backend rayon] [--shape 0.5] [--pinvar 0.1]
 //! plfr mcmc       --alignment data.fasta [--tree tree.nwk] --generations 1000 [--backend qs20]
 //!                 [--incremental] [--trace PREFIX] [--sample-every 100] [--seed 42]
-//! plfr serve      --alignment data.fasta (--listen ADDR | --stdio) [--backend rayon] [--workers 4]
+//! plfr serve      --alignment data.fasta --listen ADDR [--backend rayon] [--workers 4]
 //! plfr loadgen    --jobs 256 [--taxa 10] [--patterns 1000] [--backend rayon] [--workers 4] [--json]
 //! plfr loadgen    --connect ADDR [--connections 10000] [--jobs 20000] [--pipeline 2] [--churn 8]
 //! plfr chaos      [--jobs 200] [--seed 2009] [--kills 0@40] [--blackouts 1@80x6] [--json]
@@ -16,10 +16,9 @@
 //! else); trees are Newick. Without `--tree`, a random starting tree
 //! over the alignment's taxa is generated from the seed.
 //!
-//! `serve` runs the `plfd` batched evaluation service — on a socket
+//! `serve` runs the `plfd` batched evaluation service on a socket
 //! with `--listen ADDR` (the plf-net length-prefixed binary protocol,
-//! per-tenant fair queuing, graceful drain) or on stdin/stdout with
-//! `--stdio` (one request per line, see `plfr serve --help`);
+//! per-tenant fair queuing, graceful drain);
 //! `loadgen` drives an in-process service with a deterministic seeded
 //! job stream and checks every completed result bit-for-bit against
 //! the scalar reference, or — with `--connect ADDR` — floods a remote
@@ -38,9 +37,8 @@ use plf_repro::phylo::model::{GtrParams, SiteModel};
 use plf_repro::phylo::resilience::{FaultInjector, ResilientBackend};
 use plf_repro::phylo::tree::Tree;
 use plf_repro::plfd::{
-    run_chaos, ChaosBackendFactory, ChaosConfig, JobOutcome, JobSpec, JournalConfig, LoadMode,
-    LoadgenConfig, PlfService, Priority, ScheduledBlackout, ScheduledKill, ServiceConfig,
-    SubmitError,
+    run_chaos, ChaosBackendFactory, ChaosConfig, JournalConfig, LoadMode, LoadgenConfig,
+    PlfService, ScheduledBlackout, ScheduledKill, ServiceConfig,
 };
 use plf_repro::seqgen;
 use rand::rngs::StdRng;
@@ -443,7 +441,7 @@ fn service_backends(args: &Args) -> Result<Vec<Box<dyn PlfBackend>>, String> {
 const SERVE_USAGE: &str = "plfr serve — run the plfd batched evaluation service
 
 USAGE:
-  plfr serve --alignment FILE (--listen ADDR | --stdio)
+  plfr serve --alignment FILE --listen ADDR
              [--backend NAME[,NAME...]] [--workers N]
              [--queue-capacity K] [--batch-jobs N] [--batch-units N] [--linger-ms F]
              [--journal-dir DIR] [--fsync-ms F] [--drain-ms F]
@@ -454,7 +452,7 @@ USAGE:
              [--default-weight W] [--default-rate R] [--default-burst B]
              [--default-pending N]
 
-SOCKET FRONT END (--listen ADDR, the primary interface):
+SOCKET FRONT END (--listen ADDR):
   length-prefixed CRC-framed binary records
   ([magic u16][version u8][kind u8][len u32][payload][crc32 u32]);
   see the plf-net crate docs for the frame catalogue. Admission is
@@ -465,30 +463,22 @@ SOCKET FRONT END (--listen ADDR, the primary interface):
   ADDR:0). At exit a combined JSON summary {service, net, reactor}
   is printed to stderr.
 
-STDIO FRONT END (--stdio, one request per input line):
-  [tenant=NAME] [priority=high|normal] [deadline_ms=N] NEWICK
-responses on stdout, in submission order:
-  ok id=N lnl=L wait_ms=W service_ms=S backend=B
-  reject id=N retry_after_ms=M       (queue full; resubmit after M)
-  fail id=N error=...                (evaluation failed)
-  cancelled id=N | deadline id=N
-  error id=N msg=...                 (malformed request line)
-A service-metrics JSON snapshot is printed to stderr at EOF.
-
 With --journal-dir, every acknowledged admission is written to a
 crash-durable write-ahead journal before the response; on restart the
 service replays admitted-but-unresolved jobs. --fsync-ms sets the
 group-commit window (0 = fsync every append). SIGTERM/SIGINT trigger a
-graceful drain (bounded by --drain-ms, default 10000) on either front
-end — the socket server stops accepting, notifies clients with
-Draining frames, resolves the backlog, flushes the journal, and
-exits 0.";
+graceful drain (bounded by --drain-ms, default 10000) — the socket
+server stops accepting, notifies clients with Draining frames,
+resolves the backlog, flushes the journal, and exits 0.";
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     if args.flag("help") {
         println!("{SERVE_USAGE}");
         return Ok(());
     }
+    let addr = args.get("listen").ok_or(
+        "serve needs --listen ADDR (binary socket protocol); see plfr serve --help",
+    )?;
     let aln = read_alignment(args.required("alignment")?)?;
     let data = aln.compress();
     let model = build_model(args)?;
@@ -513,25 +503,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             report.truncated_records
         );
     }
-    // One shutdown flag shared by both front ends, wired to
-    // SIGINT/SIGTERM; the loops poll it instead of racing a signal
-    // against a blocking read.
+    // The shutdown flag is wired to SIGINT/SIGTERM; the reactor polls
+    // it instead of racing a signal against a blocking read.
     let shutdown = plf_net::ShutdownFlag::global();
-    match (args.get("listen"), args.flag("stdio")) {
-        (Some(_), true) => Err("--listen and --stdio are mutually exclusive".into()),
-        (Some(addr), false) => {
-            let addr = addr.to_string();
-            serve_listen(args, &addr, service, dataset, model, drain_deadline, shutdown)
-        }
-        (None, true) => {
-            serve_stdio(service, dataset, &model, drain_deadline, shutdown, journaled)
-        }
-        (None, false) => Err(
-            "serve needs a front end: --listen ADDR (binary socket protocol) \
-             or --stdio (line protocol); see plfr serve --help"
-                .into(),
-        ),
-    }
+    serve_listen(args, addr, service, dataset, model, drain_deadline, shutdown)
 }
 
 /// Parse `--tenant-policy NAME=WEIGHT[:RATE[:BURST[:PENDING]]],...` plus
@@ -640,214 +615,6 @@ fn serve_listen(
         serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
     );
     Ok(())
-}
-
-/// Stdio front end: the original line protocol, kept for piping and
-/// scripting. Stdin is switched to non-blocking and multiplexed in the
-/// same loop that polls the shutdown flag — no reader side thread.
-fn serve_stdio(
-    mut service: PlfService,
-    dataset: plf_repro::plfd::DatasetId,
-    model: &SiteModel,
-    drain_deadline: Duration,
-    shutdown: plf_net::ShutdownFlag,
-    journaled: bool,
-) -> Result<(), String> {
-    eprintln!(
-        "plfd: serving on stdio — {} worker(s), queue capacity {}, unit {} patterns{}",
-        service.n_workers(),
-        service.queue_capacity(),
-        service.unit_patterns(),
-        if journaled { ", journaled" } else { "" }
-    );
-    plf_net::poll::set_nonblocking_fd(0, true).map_err(|e| format!("stdin: {e}"))?;
-    let result = serve_stdio_loop(&mut service, dataset, model, drain_deadline, &shutdown);
-    // Restore stdin's flags even on error: the fd may be a shared
-    // terminal that outlives this process.
-    let _ = plf_net::poll::set_nonblocking_fd(0, false);
-    result?;
-    let snapshot = service.snapshot();
-    drop(service);
-    eprintln!(
-        "{}",
-        serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?
-    );
-    Ok(())
-}
-
-fn serve_stdio_loop(
-    service: &mut PlfService,
-    dataset: plf_repro::plfd::DatasetId,
-    model: &SiteModel,
-    drain_deadline: Duration,
-    shutdown: &plf_net::ShutdownFlag,
-) -> Result<(), String> {
-    let print_outcome = |id: u64, outcome: JobOutcome| match outcome {
-        JobOutcome::Completed {
-            ln_likelihood,
-            wait,
-            service,
-            backend,
-        } => println!(
-            "ok id={id} lnl={ln_likelihood:.6} wait_ms={:.3} service_ms={:.3} backend={backend}",
-            wait.as_secs_f64() * 1e3,
-            service.as_secs_f64() * 1e3
-        ),
-        JobOutcome::Failed { error } => println!("fail id={id} error={error}"),
-        JobOutcome::Cancelled => println!("cancelled id={id}"),
-        JobOutcome::DeadlineMissed => println!("deadline id={id}"),
-    };
-    let mut pending: std::collections::VecDeque<(u64, plf_repro::plfd::JobTicket)> =
-        std::collections::VecDeque::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut next_id: u64 = 0;
-    let mut signalled = false;
-    let stdin = std::io::stdin();
-    loop {
-        if shutdown.is_requested() {
-            signalled = true;
-            break;
-        }
-        // Flush responses that are already resolved, preserving order.
-        while let Some((fid, ticket)) = pending.front() {
-            match ticket.try_wait() {
-                Some(outcome) => {
-                    print_outcome(*fid, outcome);
-                    pending.pop_front();
-                }
-                None => break,
-            }
-        }
-        match std::io::Read::read(&mut stdin.lock(), &mut chunk) {
-            Ok(0) => {
-                // EOF: a trailing line without a newline still counts.
-                if !buf.is_empty() {
-                    let tail = String::from_utf8_lossy(&buf).into_owned();
-                    stdio_handle_line(service, dataset, model, &tail, &mut next_id, &mut pending);
-                }
-                break;
-            }
-            Ok(n) => {
-                buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line).into_owned();
-                    stdio_handle_line(service, dataset, model, &line, &mut next_id, &mut pending);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle tick; the top of the loop flushes outcomes and
-                // polls the shutdown flag.
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("stdin: {e}")),
-        }
-    }
-    // Graceful drain: resolve the admitted backlog (bounded on a
-    // signal), flush the journal, answer every outstanding request,
-    // and exit 0 — an acknowledged job is never abandoned.
-    if signalled {
-        eprintln!(
-            "plfd: shutdown signal received — draining {} outstanding job(s) (bound {:.1} s)",
-            pending.len(),
-            drain_deadline.as_secs_f64()
-        );
-    }
-    let drain = service.drain(drain_deadline);
-    for (id, ticket) in pending {
-        match ticket.try_wait() {
-            Some(outcome) => print_outcome(id, outcome),
-            None => println!("error id={id} msg=unresolved at drain deadline"),
-        }
-    }
-    eprintln!(
-        "plfd: drained — {} resolved, {} pending at deadline, journal {} ({:.3} s)",
-        drain.resolved,
-        drain.pending_at_deadline,
-        if drain.journal_flushed { "flushed" } else { "not flushed" },
-        drain.elapsed.as_secs_f64()
-    );
-    Ok(())
-}
-
-/// Handle one stdio request line: parse, submit, and answer admission
-/// errors immediately (accepted jobs answer later, in order).
-fn stdio_handle_line(
-    service: &PlfService,
-    dataset: plf_repro::plfd::DatasetId,
-    model: &SiteModel,
-    line: &str,
-    next_id: &mut u64,
-    pending: &mut std::collections::VecDeque<(u64, plf_repro::plfd::JobTicket)>,
-) {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return;
-    }
-    *next_id += 1;
-    let id = *next_id;
-    match parse_serve_request(line, dataset, model) {
-        Err(msg) => println!("error id={id} msg={msg}"),
-        Ok(spec) => match service.submit(spec) {
-            Ok(ticket) => pending.push_back((id, ticket)),
-            Err(SubmitError::QueueFull { retry_after, jobs_ahead }) => println!(
-                "reject id={id} retry_after_ms={:.3} jobs_ahead={jobs_ahead}",
-                retry_after.as_secs_f64() * 1e3
-            ),
-            Err(SubmitError::Overloaded { retry_after, jobs_ahead }) => println!(
-                "overloaded id={id} retry_after_ms={:.3} jobs_ahead={jobs_ahead}",
-                retry_after.as_secs_f64() * 1e3
-            ),
-            Err(err) => println!("error id={id} msg={err}"),
-        },
-    }
-}
-
-/// Parse one `serve` request line: `key=value` tokens followed by the
-/// Newick tree (the first token starting with `(`).
-fn parse_serve_request(
-    line: &str,
-    dataset: plf_repro::plfd::DatasetId,
-    model: &SiteModel,
-) -> Result<JobSpec, String> {
-    let mut tenant = "default".to_string();
-    let mut priority = Priority::Normal;
-    let mut deadline = None;
-    let mut tree = None;
-    for token in line.split_whitespace() {
-        if token.starts_with('(') {
-            tree = Some(Tree::from_newick(token).map_err(|e| e.to_string())?);
-            continue;
-        }
-        let Some((key, value)) = token.split_once('=') else {
-            return Err(format!("expected key=value or a Newick tree, got {token:?}"));
-        };
-        match key {
-            "tenant" => tenant = value.to_string(),
-            "priority" => {
-                priority = Priority::parse(value)
-                    .ok_or_else(|| format!("bad priority {value:?} (high|normal)"))?;
-            }
-            "deadline_ms" => {
-                let ms: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad deadline_ms {value:?}"))?;
-                if !(ms.is_finite() && ms >= 0.0) {
-                    return Err(format!("bad deadline_ms {value:?}"));
-                }
-                deadline = Some(Duration::from_secs_f64(ms / 1e3));
-            }
-            other => return Err(format!("unknown key {other:?}")),
-        }
-    }
-    let tree = tree.ok_or("missing Newick tree")?;
-    let mut spec = JobSpec::new(tenant, dataset, tree, model.clone()).with_priority(priority);
-    if let Some(d) = deadline {
-        spec = spec.with_deadline(d);
-    }
-    Ok(spec)
 }
 
 const LOADGEN_USAGE: &str = "plfr loadgen — drive a plfd service with a seeded job stream

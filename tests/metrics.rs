@@ -85,30 +85,41 @@ fn all_backends_bill_identical_work() {
     // double buffering actually overlaps DMA with compute.
     let ds = seqgen::generate(DatasetSpec::new(10, 2_400), 77);
     let evals = 2u64;
-    let run = |mut backend: Box<dyn PlfBackend>, counters: &Arc<PlfCounters>| -> MetricsSnapshot {
+    let run = |backend: &mut dyn PlfBackend, counters: &Arc<PlfCounters>| -> MetricsSnapshot {
         let mut eval = TreeLikelihood::new(&ds.tree, &ds.data, model()).unwrap();
         for _ in 0..evals {
-            eval.log_likelihood(&ds.tree, backend.as_mut()).unwrap();
+            eval.log_likelihood(&ds.tree, backend).unwrap();
         }
         counters.snapshot()
     };
     let mut snaps = Vec::new();
+    let mut cell_modeled_seconds = 0.0;
     for which in ["rayon", "persistent", "ps3", "8800gt"] {
         let counters = PlfCounters::new();
-        let backend: Box<dyn PlfBackend> = match which {
-            "rayon" => Box::new(
-                plf_repro::multicore::RayonBackend::new(3)
+        let snap = match which {
+            "rayon" => run(
+                &mut plf_repro::multicore::RayonBackend::new(3)
                     .unwrap()
                     .with_metrics(Arc::clone(&counters)),
+                &counters,
             ),
-            "persistent" => Box::new(
-                plf_repro::multicore::PersistentPoolBackend::new(3)
+            "persistent" => run(
+                &mut plf_repro::multicore::PersistentPoolBackend::new(3)
                     .with_metrics(Arc::clone(&counters)),
+                &counters,
             ),
-            "ps3" => Box::new(plf_repro::cellbe::CellBackend::ps3().with_metrics(Arc::clone(&counters))),
-            _ => Box::new(plf_repro::gpu::GpuBackend::gt8800().with_metrics(Arc::clone(&counters))),
+            "ps3" => {
+                let mut cell = CellBackend::ps3().with_metrics(Arc::clone(&counters));
+                let snap = run(&mut cell, &counters);
+                cell_modeled_seconds = cell.stats().modeled_seconds;
+                snap
+            }
+            _ => run(
+                &mut plf_repro::gpu::GpuBackend::gt8800().with_metrics(Arc::clone(&counters)),
+                &counters,
+            ),
         };
-        snaps.push((which, run(backend, &counters)));
+        snaps.push((which, snap));
     }
     let (_, reference) = &snaps[0];
     assert!(reference.invocations() > 0);
@@ -141,6 +152,27 @@ fn all_backends_bill_identical_work() {
     assert!(
         cell.transfer.overlap_saved_seconds > 0.0,
         "the compute-bound PS3 double-buffers, so overlap must save modeled time"
+    );
+    // Transfer, overlap and modeled time come from one per-call cost,
+    // so they are in the same units and nest.
+    assert!(cell.transfer.exposed_seconds() <= cell_modeled_seconds);
+    assert!(cell.transfer.overlap_saved_seconds <= cell.transfer.seconds);
+    // ... and the saving is exactly the Figure 7 ablation's.
+    let w = PlfWorkload {
+        n_leaves: ds.tree.n_leaves(),
+        n_patterns: ds.data.n_patterns(),
+        n_rates: 4,
+        n_down: cell.down.invocations,
+        n_root: cell.root.invocations,
+        n_scale: cell.scale.invocations,
+    };
+    let ablation = CellModel::ps3().without_double_buffering().plf_time(&w, 6)
+        - CellModel::ps3().plf_time(&w, 6);
+    let calls = cell.invocations() as f64;
+    assert!(
+        (cell.transfer.overlap_saved_seconds - ablation).abs() <= calls * 1e-9,
+        "overlap saved {} s vs ablation {ablation} s",
+        cell.transfer.overlap_saved_seconds
     );
     let gpu = by_name("8800gt");
     assert!(gpu.transfer.total_bytes() > 0);
