@@ -107,6 +107,9 @@ pub struct Poller {
 /// surface on the next tick (level-triggered).
 const WAIT_BATCH: usize = 1024;
 
+/// `epoll_wait`'s timeout unit, in nanoseconds.
+const NANOS_PER_MILLI: u128 = 1_000_000;
+
 impl Poller {
     /// Create a new epoll instance.
     pub fn new() -> io::Result<Poller> {
@@ -176,9 +179,16 @@ impl Poller {
     /// Park until readiness or `timeout`, then append one [`Event`]
     /// per ready fd to `out` (cleared first). An empty result means
     /// the timeout elapsed.
+    ///
+    /// `epoll_wait` counts whole milliseconds, so `timeout` is rounded
+    /// *up*: a nonzero timeout never becomes a zero-timeout busy poll,
+    /// and the wait never ends before `timeout` has passed.
     pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
         out.clear();
-        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        let timeout_ms = timeout
+            .as_nanos()
+            .div_ceil(NANOS_PER_MILLI)
+            .min(i32::MAX as u128) as i32;
         // SAFETY: `buf` is a live Vec of `WAIT_BATCH` initialized
         // `EpollEvent`s for the whole call; the kernel writes at most
         // `maxevents` entries into it and we read back only the first
@@ -279,6 +289,23 @@ mod tests {
             .expect("wait");
         assert!(events.iter().any(|e| e.token == 2 && e.writable));
         poller.deregister(server_side.as_raw_fd()).expect("deregister");
+    }
+
+    #[test]
+    fn sub_millisecond_timeout_waits_instead_of_spinning() {
+        // Truncated to whole milliseconds, 300 µs became a zero-timeout
+        // poll that returns at once and lets the caller spin.
+        let mut poller = Poller::new().expect("epoll");
+        let mut events = Vec::new();
+        let timeout = Duration::from_micros(300);
+        let started = std::time::Instant::now();
+        poller.wait(timeout, &mut events).expect("wait");
+        assert!(events.is_empty());
+        assert!(
+            started.elapsed() >= timeout,
+            "returned after {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! only ever *admits* (nonblocking) and *polls tickets* (nonblocking),
 //! so a slow evaluation never stalls the event loop.
 //!
+//! Completions wake the reactor: the service's completion hook writes
+//! one byte to a socket pair in the epoll set, so a resolved ticket is
+//! answered as soon as it resolves rather than at the next tick. The
+//! tick only bounds the sleep for token refills and shutdown checks.
+//!
 //! Backpressure composes across three layers, each visible to the
 //! remote client as a distinct [`RejectReason`]:
 //!
@@ -36,6 +41,9 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,6 +61,10 @@ use crate::wire::Frame;
 
 /// Reactor token of the listening socket; connections count up from 1.
 const LISTENER_TOKEN: u64 = 0;
+
+/// Reactor token of the completion wake socket (connection tokens
+/// count up from 1 and never reach it).
+const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Read chunk size per `read()` call.
 const READ_CHUNK: usize = 16 * 1024; // plf-lint: allow(L3) — socket read chunk, not DMA
@@ -80,7 +92,9 @@ pub struct NetServerConfig {
     /// closed immediately.
     pub max_connections: usize,
     /// Reactor tick: upper bound on how long `epoll_wait` parks when
-    /// nothing is ready (ticket polling runs at least this often).
+    /// nothing is ready. Job completions and socket traffic wake the
+    /// reactor at once; the tick bounds only how late a token refill
+    /// or a shutdown request is noticed.
     pub tick: Duration,
     /// Budget for in-flight jobs to resolve during drain before the
     /// reactor gives up and reports them unresolved.
@@ -153,6 +167,88 @@ struct Inflight {
     ticket: JobTicket,
 }
 
+/// The reactor's end of the completion wake: the service's completion
+/// hook writes one byte to the other end of the socket pair, at most
+/// one per drain of this end.
+struct Wake {
+    rx: UnixStream,
+    /// Set by the hook when it writes a byte; cleared by the reactor
+    /// once the byte is drained.
+    pending: Arc<AtomicBool>,
+}
+
+impl Wake {
+    /// A nonblocking socket pair: the reactor's reading end, and the
+    /// completion hook that writes to the other end.
+    fn new() -> io::Result<(Wake, impl Fn() + Send + Sync + 'static)> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        let pending = Arc::new(AtomicBool::new(false));
+        let hook_pending = Arc::clone(&pending);
+        let hook = move || {
+            // Coalesce: one byte in flight per reactor drain. A full
+            // pipe (WouldBlock) already holds a wake, so the write
+            // result carries no information.
+            if !hook_pending.swap(true, Ordering::AcqRel) {
+                let _ = (&tx).write(&[1]);
+            }
+        };
+        Ok((Wake { rx, pending }, hook))
+    }
+
+    /// Install the completion hook on `service` and return the reading
+    /// end for the reactor's epoll set.
+    fn install(service: &PlfService) -> io::Result<Wake> {
+        let (wake, hook) = Wake::new()?;
+        if !service.set_completion_hook(hook) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the service already has a completion hook",
+            ));
+        }
+        Ok(wake)
+    }
+
+    /// Empty the socket, then re-arm the hook. The order is the
+    /// invariant: re-arming first would let a completion's byte land
+    /// between the two steps and be drained with the flag still set,
+    /// after which no hook call writes again and the reactor falls back
+    /// to the tick for good. Re-armed after the drain, a completion
+    /// either wrote before the drain (its byte was consumed, and its
+    /// ticket is visible to the `poll_inflight` that follows) or sees
+    /// the cleared flag and writes a fresh byte.
+    fn drain(&self) {
+        self.drain_from(&self.rx);
+    }
+
+    /// [`Wake::drain`] reading from `rx` (the wake socket, or in tests a
+    /// reader that lets a completion land mid-drain).
+    fn drain_from(&self, mut rx: impl Read) {
+        let mut buf = [0u8; 64];
+        loop {
+            match rx.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        // AcqRel pairs with the hook's swap: a completion whose swap
+        // this clear observes happened before the next ticket poll.
+        self.pending.swap(false, Ordering::AcqRel);
+    }
+}
+
+impl Drop for Wake {
+    /// Disarm the hook: the service outlives its reactor (`run` hands
+    /// it back for the drain), and its completions must not write to a
+    /// socket nobody reads.
+    fn drop(&mut self) {
+        self.pending.store(true, Ordering::Release);
+    }
+}
+
 /// The epoll-driven socket front end. Owns the listener, every
 /// connection, the per-tenant fair queue, and the [`PlfService`] it
 /// feeds; [`NetServer::run`] gives the service back when the reactor
@@ -162,6 +258,7 @@ pub struct NetServer {
     local_addr: SocketAddr,
     poller: Poller,
     service: PlfService,
+    wake: Wake,
     dataset: DatasetId,
     model: SiteModel,
     server_info_frame: Vec<u8>,
@@ -188,6 +285,9 @@ impl NetServer {
     /// names are advertised to every client in the `ServerInfo`
     /// greeting, so remote load generators need no local copy of the
     /// alignment.
+    ///
+    /// Installs `service`'s completion hook (one per service), so it
+    /// fails with `AlreadyExists` on a service that already has one.
     pub fn bind(
         addr: &str,
         service: PlfService,
@@ -201,10 +301,9 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let poller = Poller::new()?;
-        {
-            use std::os::fd::AsRawFd;
-            poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        }
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        let wake = Wake::install(&service)?;
+        poller.register(wake.rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
         let taxa = service
             .dataset(dataset)
             .map(|d| d.taxa().to_vec())
@@ -227,6 +326,7 @@ impl NetServer {
             local_addr,
             poller,
             service,
+            wake,
             dataset,
             model,
             server_info_frame,
@@ -263,6 +363,11 @@ impl NetServer {
             if self.shutdown.is_requested() && !self.draining {
                 self.begin_drain();
             }
+            // Checked before parking: an idle server that sees the
+            // shutdown request must not sleep another tick first.
+            if self.draining && self.drain_complete() {
+                break;
+            }
 
             let timeout = self.poll_timeout();
             self.poller.wait(timeout, &mut events)?;
@@ -272,6 +377,9 @@ impl NetServer {
             for &ev in &events {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_ready();
+                } else if ev.token == WAKE_TOKEN {
+                    // Before `poll_inflight` below, never after it.
+                    self.wake.drain();
                 } else {
                     if ev.readable || ev.hangup {
                         self.read_ready(ev.token, ev.hangup);
@@ -286,10 +394,6 @@ impl NetServer {
             self.poll_inflight();
             self.flush_all();
             self.reap_closed();
-
-            if self.draining && self.drain_complete() {
-                break;
-            }
         }
         self.finish_drain();
         self.report.protocol_errors = self.counters.snapshot().protocol_errors;
@@ -299,8 +403,9 @@ impl NetServer {
     fn poll_timeout(&mut self) -> Duration {
         let tick = self.config.tick;
         // When every staged job is token-starved, the earliest refill
-        // bounds how soon waking is useful; never park past the tick
-        // either, because in-flight tickets resolve asynchronously.
+        // bounds how soon waking is useful. Completions wake the
+        // reactor themselves; the tick bounds how late a shutdown
+        // request is noticed.
         let now = self.now_ns();
         match self.fair.next_ready_in(now) {
             Some(wait) if !wait.is_zero() => tick.min(wait),
@@ -314,7 +419,6 @@ impl NetServer {
         // Stop accepting: deregister and drop the listener so the
         // port closes immediately.
         if let Some(listener) = self.listener.take() {
-            use std::os::fd::AsRawFd;
             let _ = self.poller.deregister(listener.as_raw_fd());
         }
         let draining = Response::Draining.encode();
@@ -399,17 +503,18 @@ impl NetServer {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Pipelined responses go out as they resolve; Nagle
+                    // would hold one behind another's unacknowledged
+                    // segment. Best effort, as for the client.
+                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
+                    if self
+                        .poller
+                        .register(stream.as_raw_fd(), token, Interest::READ)
+                        .is_err()
                     {
-                        use std::os::fd::AsRawFd;
-                        if self
-                            .poller
-                            .register(stream.as_raw_fd(), token, Interest::READ)
-                            .is_err()
-                        {
-                            continue;
-                        }
+                        continue;
                     }
                     self.conns.insert(
                         token,
@@ -860,7 +965,6 @@ impl NetServer {
             } else {
                 Interest::READ
             };
-            use std::os::fd::AsRawFd;
             let _ = self.poller.modify(conn.stream.as_raw_fd(), token, interest);
         }
     }
@@ -879,7 +983,6 @@ impl NetServer {
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            use std::os::fd::AsRawFd;
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             self.counters.record_conn_close();
         }
@@ -901,5 +1004,59 @@ impl NetServer {
         for token in tokens {
             self.close_conn(token);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The wake socket, with one completion landing at the first read:
+    /// inside `Wake::drain`, between its drain and its re-arm.
+    struct CompletionMidDrain<'a, F: Fn()> {
+        rx: &'a UnixStream,
+        hook: Option<&'a F>,
+    }
+
+    impl<F: Fn()> Read for CompletionMidDrain<'_, F> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if let Some(hook) = self.hook.take() {
+                hook();
+            }
+            self.rx.read(buf)
+        }
+    }
+
+    fn readable(rx: &UnixStream) -> bool {
+        let mut poller = Poller::new().expect("epoll");
+        poller
+            .register(rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)
+            .expect("register");
+        let mut events = Vec::new();
+        poller.wait(Duration::ZERO, &mut events).expect("wait");
+        !events.is_empty()
+    }
+
+    #[test]
+    fn a_completion_racing_the_drain_never_loses_the_next_wake() {
+        let (wake, hook) = Wake::new().expect("socket pair");
+        hook();
+        assert!(readable(&wake.rx), "the first completion writes a wake");
+        hook();
+        // One completion lands while the reactor drains. Its ticket is
+        // seen by the poll that follows the drain; what must survive is
+        // the wake of the *next* completion.
+        wake.drain_from(CompletionMidDrain {
+            rx: &wake.rx,
+            hook: Some(&hook),
+        });
+        assert!(!readable(&wake.rx), "the drain empties the socket");
+        hook();
+        assert!(
+            readable(&wake.rx),
+            "a completion after the drain must wake the reactor again"
+        );
+        wake.drain();
+        assert!(!readable(&wake.rx));
     }
 }

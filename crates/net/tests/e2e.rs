@@ -6,7 +6,7 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use plf_net::loadgen::{self, NetLoadConfig};
 use plf_net::{
@@ -158,6 +158,73 @@ fn multiple_jobs_on_one_connection_interleave() {
     }
     let (service, report) = server.stop();
     assert_eq!(report.completed, 8);
+    service.shutdown();
+}
+
+#[test]
+fn completions_wake_the_reactor_long_before_its_tick() {
+    // With a 30 s tick, a reactor that noticed resolved tickets only on
+    // its tick would hold every round of pipelined jobs until the next
+    // tick: the first round alone would outlast the budget. Completions
+    // must wake it, and no wake may be lost for good: 800 jobs whose
+    // completions race the reactor's re-arming of the wake.
+    const CONNECTIONS: u64 = 2;
+    const PIPELINE: u64 = 8;
+    const ROUNDS: u64 = 50;
+    let budget = Duration::from_secs(10);
+    let (server, taxa, _model) = start_server(NetServerConfig {
+        tick: Duration::from_secs(30),
+        ..NetServerConfig::default()
+    });
+    let started = Instant::now();
+    let clients: Vec<JoinHandle<Result<NetClient, String>>> = (0..CONNECTIONS)
+        .map(|c| {
+            let (addr, taxa) = (server.addr, taxa.clone());
+            std::thread::spawn(move || {
+                let fail = |e: std::io::Error| format!("connection {c}: {e}");
+                let mut client = NetClient::connect(addr).map_err(fail)?;
+                client.set_read_timeout(Some(budget)).map_err(fail)?;
+                let tenant = format!("tenant-{c}");
+                for round in 0..ROUNDS {
+                    let mut ids = Vec::new();
+                    for i in 0..PIPELINE {
+                        let seed = (c * ROUNDS + round) * PIPELINE + i;
+                        ids.push(
+                            client
+                                .submit(&submit_params(&tenant, &taxa, seed))
+                                .map_err(fail)?,
+                        );
+                    }
+                    for id in ids {
+                        match client.wait_for(id).map_err(fail)? {
+                            Response::Completed { .. } => {}
+                            other => return Err(format!("connection {c} job {id}: {other:?}")),
+                        }
+                    }
+                }
+                Ok(client)
+            })
+        })
+        .collect();
+    let clients: Vec<NetClient> = clients
+        .into_iter()
+        .map(|h| {
+            h.join()
+                .expect("client thread")
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < budget,
+        "{} jobs took {elapsed:?}",
+        CONNECTIONS * PIPELINE * ROUNDS
+    );
+    // The hangups wake the reactor to see the shutdown request.
+    server.shutdown.request();
+    drop(clients);
+    let (service, report) = server.stop();
+    assert_eq!(report.completed, CONNECTIONS * PIPELINE * ROUNDS);
     service.shutdown();
 }
 

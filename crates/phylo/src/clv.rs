@@ -155,19 +155,30 @@ impl Clv {
     /// exactly how MrBayes initializes terminal likelihood vectors.
     pub fn tip(masks: &[StateMask], n_rates: usize) -> Clv {
         let mut clv = Clv::zeroed(masks.len(), n_rates);
-        {
-            let stride = n_rates * N_STATES;
-            let data = clv.data.as_mut_slice();
-            for (i, mask) in masks.iter().enumerate() {
-                for r in 0..n_rates {
-                    let base = i * stride + r * N_STATES;
-                    for s in 0..N_STATES {
-                        data[base + s] = if mask.admits(s) { 1.0 } else { 0.0 };
-                    }
-                }
+        clv.fill_tip(masks);
+        clv
+    }
+
+    /// Overwrite this CLV in place with the tip vector of `masks` (as
+    /// [`Clv::tip`] builds it). Every float is written, so the previous
+    /// contents do not matter.
+    ///
+    /// # Panics
+    /// Panics if `masks.len()` differs from the pattern count.
+    pub fn fill_tip(&mut self, masks: &[StateMask]) {
+        assert_eq!(
+            masks.len(),
+            self.n_patterns,
+            "tip masks must cover every pattern"
+        );
+        let stride = self.pattern_stride();
+        for (pattern, mask) in self.data.as_mut_slice().chunks_exact_mut(stride).zip(masks) {
+            let row: [f32; N_STATES] =
+                std::array::from_fn(|s| if mask.admits(s) { 1.0 } else { 0.0 });
+            for entry in pattern.chunks_exact_mut(N_STATES) {
+                entry.copy_from_slice(&row);
             }
         }
-        clv
     }
 
     /// Number of site patterns.

@@ -109,7 +109,8 @@ pub struct TreeLikelihood {
     model: SiteModel,
     n_patterns: usize,
     weights: Vec<f64>,
-    /// Per-node CLV slots; tips are initialized once, internals reused.
+    /// Per-node CLV slots; tips are filled when the workspace is bound
+    /// to a tree, internals are overwritten by every evaluation.
     clvs: Vec<Option<Clv>>,
     /// Which nodes are tips (their CLVs are immutable).
     is_tip: Vec<bool>,
@@ -142,41 +143,87 @@ impl TreeLikelihood {
         model: SiteModel,
         scale_every: usize,
     ) -> Result<TreeLikelihood, LikelihoodError> {
+        let mut eval = TreeLikelihood {
+            model,
+            n_patterns: 0,
+            weights: Vec::new(),
+            clvs: Vec::new(),
+            is_tip: Vec::new(),
+            scalers: Vec::new(),
+            const_masks: Vec::new(),
+            scale_every,
+        };
+        eval.bind(tree, data)?;
+        Ok(eval)
+    }
+
+    /// Re-point this workspace at `tree` over `data` under `model`,
+    /// keeping its CLV buffers. Afterwards it evaluates bit for bit like
+    /// a fresh [`TreeLikelihood::with_scaling`] of the same arguments
+    /// and this workspace's scaling period.
+    ///
+    /// Every leaf slot is refilled with its taxon's tip vector, and the
+    /// pattern weights and constant masks are re-read from `data`, so
+    /// nothing of the previous tree or alignment survives in them.
+    /// Internal slots keep their stale contents: every `Down` and `Root`
+    /// op (and every fused cache hit) overwrites its output slot in full
+    /// before any op reads it. A slot whose shape no longer fits `data`
+    /// and `model` is reallocated, so a workspace can be rebound to any
+    /// tree and alignment; it allocates nothing when the node count,
+    /// pattern count and rate count are unchanged.
+    ///
+    /// On error (an unknown taxon, an invalid tree) the workspace must
+    /// be rebound successfully before it is evaluated again.
+    pub fn rebind(
+        &mut self,
+        tree: &Tree,
+        data: &PatternAlignment,
+        model: SiteModel,
+    ) -> Result<(), LikelihoodError> {
+        self.model = model;
+        self.bind(tree, data)
+    }
+
+    /// Lay out one slot per node of `tree` for `data` under the current
+    /// model, reusing every slot that already has the right shape.
+    fn bind(&mut self, tree: &Tree, data: &PatternAlignment) -> Result<(), LikelihoodError> {
         tree.validate()?;
         let n_patterns = data.n_patterns();
-        let n_rates = model.n_rates();
+        let n_rates = self.model.n_rates();
         let taxon_index: HashMap<&str, usize> = data
             .taxa()
             .iter()
             .enumerate()
             .map(|(i, t)| (t.as_str(), i))
             .collect();
-        let mut clvs: Vec<Option<Clv>> = Vec::with_capacity(tree.n_nodes());
-        let mut is_tip = Vec::with_capacity(tree.n_nodes());
-        for id in tree.node_ids() {
+        self.clvs.resize_with(tree.n_nodes(), || None);
+        self.is_tip.clear();
+        for (id, slot) in tree.node_ids().zip(self.clvs.iter_mut()) {
+            let fits = slot
+                .as_ref()
+                .is_some_and(|c| c.n_patterns() == n_patterns && c.n_rates() == n_rates);
+            let clv = match slot {
+                Some(clv) if fits => clv,
+                _ => slot.insert(Clv::zeroed(n_patterns, n_rates)),
+            };
             let node = tree.node(id);
             if node.is_leaf() {
                 let name = node.name.as_deref().expect("validated leaf has a name");
                 let &t = taxon_index
                     .get(name)
                     .ok_or_else(|| LikelihoodError::UnknownTaxon(name.to_string()))?;
-                clvs.push(Some(Clv::tip(data.taxon_patterns(t), n_rates)));
-                is_tip.push(true);
-            } else {
-                clvs.push(Some(Clv::zeroed(n_patterns, n_rates)));
-                is_tip.push(false);
+                clv.fill_tip(data.taxon_patterns(t));
             }
+            self.is_tip.push(node.is_leaf());
         }
-        Ok(TreeLikelihood {
-            model,
-            n_patterns,
-            weights: data.weights().iter().map(|&w| w as f64).collect(),
-            clvs,
-            is_tip,
-            scalers: vec![0.0; n_patterns],
-            const_masks: data.constant_masks(),
-            scale_every,
-        })
+        self.n_patterns = n_patterns;
+        self.weights.clear();
+        self.weights
+            .extend(data.weights().iter().map(|&w| w as f64));
+        self.scalers.clear();
+        self.scalers.resize(n_patterns, 0.0);
+        self.const_masks = data.constant_masks();
+        Ok(())
     }
 
     /// The site model in use.
@@ -422,6 +469,75 @@ mod tests {
             .log_likelihood(&tree, &mut Simd4Backend::row_wise())
             .unwrap();
         assert!((l_scalar - l_row).abs() < 1e-3);
+    }
+
+    #[test]
+    fn rebind_matches_a_fresh_workspace_bitwise_and_reuses_buffers() {
+        let (tree, aln) = toy();
+        // Other leaf order, other topology, other alignment of the same
+        // shape: nothing of the first binding may leak into the second.
+        let other_tree = Tree::from_newick("((d:0.3,a:0.2):0.1,c:0.05,b:0.4);").unwrap();
+        let other_aln = Alignment::from_strings(&[
+            ("a", "ACGTTCGTAA"),
+            ("b", "ACGGACGTAC"),
+            ("c", "TCGAACGTTA"),
+            ("d", "ACTTACGAAA"),
+        ])
+        .unwrap()
+        .compress();
+        assert_eq!(aln.n_patterns(), other_aln.n_patterns());
+        let model =
+            SiteModel::gtr_gamma4(GtrParams::hky85(2.0, [0.3, 0.2, 0.2, 0.3]), 0.7).unwrap();
+        let other_model = SiteModel::gtr_gamma4(GtrParams::jc69(), 0.3).unwrap();
+
+        let mut eval = TreeLikelihood::new(&tree, &aln, model).unwrap();
+        eval.log_likelihood(&tree, &mut ScalarBackend).unwrap();
+        let ptrs: Vec<*const f32> = eval
+            .clvs
+            .iter()
+            .flatten()
+            .map(|c| c.as_slice().as_ptr())
+            .collect();
+        eval.rebind(&other_tree, &other_aln, other_model.clone())
+            .unwrap();
+        let reused: Vec<*const f32> = eval
+            .clvs
+            .iter()
+            .flatten()
+            .map(|c| c.as_slice().as_ptr())
+            .collect();
+        assert_eq!(ptrs, reused, "a same-shape rebind must not reallocate");
+        // Internal slots are outputs only: poison them to prove no op
+        // reads one before writing it.
+        for (slot, &tip) in eval.clvs.iter_mut().zip(&eval.is_tip) {
+            if let (Some(clv), false) = (slot.as_mut(), tip) {
+                clv.fill(f32::NAN);
+            }
+        }
+        let rebound = eval
+            .log_likelihood(&other_tree, &mut ScalarBackend)
+            .unwrap();
+        let mut fresh = TreeLikelihood::new(&other_tree, &other_aln, other_model).unwrap();
+        let want = fresh
+            .log_likelihood(&other_tree, &mut ScalarBackend)
+            .unwrap();
+        assert_eq!(rebound.to_bits(), want.to_bits());
+
+        // A shape change (patterns, rates, node count) reallocates and
+        // still matches a fresh workspace.
+        let small = Alignment::from_strings(&[("a", "AC"), ("b", "AG"), ("c", "TC")])
+            .unwrap()
+            .compress();
+        let star = Tree::from_newick("(a:0.2,b:0.1,c:0.3);").unwrap();
+        eval.rebind(&star, &small, SiteModel::jc69()).unwrap();
+        let rebound = eval.log_likelihood(&star, &mut ScalarBackend).unwrap();
+        let mut fresh = TreeLikelihood::new(&star, &small, SiteModel::jc69()).unwrap();
+        let want = fresh.log_likelihood(&star, &mut ScalarBackend).unwrap();
+        assert_eq!(rebound.to_bits(), want.to_bits());
+        assert!(matches!(
+            eval.rebind(&tree, &small, SiteModel::jc69()),
+            Err(LikelihoodError::UnknownTaxon(_))
+        ));
     }
 
     #[test]

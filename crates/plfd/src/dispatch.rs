@@ -36,18 +36,25 @@
 //! evaluation so a poisoned job resolves alone while its batchmates
 //! complete.
 //!
+//! **Resident workspaces.** Each worker keeps the likelihood workspaces
+//! of its last shard and rebinds them
+//! ([`TreeLikelihood::rebind`]) to the next shard's jobs, matched on
+//! dataset, rate count and node count, so a steady-state shard
+//! allocates no CLV. The retained set is exactly what the last shard
+//! used.
+//!
 //! This file is in `plf-lint`'s L2 hot-path scope: no panicking calls.
 
 use crate::health::{
     is_backend_fault, run_probe, AdmissionController, BackendFactory, BreakerPolicy,
     BreakerState, CircuitBreaker, WatchdogPolicy,
 };
-use crate::job::{Job, JobId, JobOutcome};
+use crate::job::{DatasetId, Job, JobId, JobOutcome};
 use crate::scheduler::Batch;
 use plf_phylo::clv_cache::ClvCache;
 use plf_phylo::fused::{evaluate_fused, FusedJob};
 use plf_phylo::kernels::PlfBackend;
-use plf_phylo::likelihood::TreeLikelihood;
+use plf_phylo::likelihood::{LikelihoodError, TreeLikelihood};
 use plf_phylo::metrics::ServiceCounters;
 use plf_phylo::resilience::{panic_message, FaultInjector, FaultSite, PlfError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,6 +107,69 @@ impl Default for PoolConfig {
             injector: None,
             clv_cache_entries: DEFAULT_CLV_CACHE_ENTRIES,
         }
+    }
+}
+
+/// What a resident workspace is matched on: with the same alignment,
+/// rate count and node count, a rebind reuses every CLV buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WorkspaceKey {
+    dataset: DatasetId,
+    n_rates: usize,
+    n_nodes: usize,
+}
+
+impl WorkspaceKey {
+    fn of(job: &Job) -> WorkspaceKey {
+        WorkspaceKey {
+            dataset: job.dataset,
+            n_rates: job.model.n_rates(),
+            n_nodes: job.tree.n_nodes(),
+        }
+    }
+}
+
+type Workspace = (WorkspaceKey, TreeLikelihood);
+
+/// One worker's resident likelihood workspaces. After each shard the
+/// worker keeps exactly the workspaces that shard used, to be rebound
+/// to the next shard's jobs.
+#[derive(Default)]
+struct Workspaces {
+    /// The last shard's workspaces not yet taken by this shard.
+    held: Vec<Workspace>,
+    /// Workspaces this shard has used and released.
+    used: Vec<Workspace>,
+}
+
+impl Workspaces {
+    /// A workspace bound to `job`: a free one with the job's key,
+    /// rebound, or a fresh one when none matches.
+    fn acquire(&mut self, job: &Job) -> Result<Workspace, LikelihoodError> {
+        let key = WorkspaceKey::of(job);
+        let free = [&mut self.held, &mut self.used]
+            .into_iter()
+            .find_map(|pool| {
+                let i = pool.iter().position(|(k, _)| *k == key)?;
+                Some(pool.swap_remove(i).1)
+            });
+        match free {
+            Some(mut eval) => {
+                eval.rebind(&job.tree, &job.data, job.model.clone())?;
+                Ok((key, eval))
+            }
+            None => Ok((key, TreeLikelihood::new(&job.tree, &job.data, job.model.clone())?)),
+        }
+    }
+
+    /// Hand back a workspace this shard is done with.
+    fn release(&mut self, workspace: Workspace) {
+        self.used.push(workspace);
+    }
+
+    /// End of a shard: keep exactly what it used, drop the rest.
+    fn end_shard(&mut self) {
+        self.held = std::mem::take(&mut self.used);
     }
 }
 
@@ -552,6 +622,7 @@ fn worker_loop(
     // worker runs (hits materialize when later shards repeat subtrees).
     let mut cache =
         (shared.clv_cache_entries > 0).then(|| ClvCache::new(shared.clv_cache_entries));
+    let mut workspaces = Workspaces::default();
     loop {
         match rx.recv_timeout(PROBE_TICK) {
             Ok(shard) => {
@@ -584,12 +655,22 @@ fn worker_loop(
                 // least two; any fused-level failure falls back to the
                 // per-job path for fault containment.
                 let fused_done = runnable.len() >= 2
-                    && run_shard_fused(shared, slot, backend.as_mut(), &runnable, &mut cache);
+                    && run_shard_fused(
+                        shared,
+                        slot,
+                        backend.as_mut(),
+                        &runnable,
+                        &mut cache,
+                        &mut workspaces,
+                    );
                 if !fused_done {
                     for job in &runnable {
                         shared.beat(idx);
-                        evaluate_one(shared, idx, slot, backend.as_mut(), job);
+                        evaluate_one(shared, idx, slot, backend.as_mut(), job, &mut workspaces);
                     }
+                }
+                if !runnable.is_empty() {
+                    workspaces.end_shard();
                 }
                 for job in &runnable {
                     slot.ledger_remove(job.id);
@@ -619,6 +700,7 @@ fn run_shard_fused(
     backend: &mut dyn PlfBackend,
     jobs: &[Arc<Job>],
     cache: &mut Option<ClvCache>,
+    workspaces: &mut Workspaces,
 ) -> bool {
     let Some(first) = jobs.first() else {
         return true;
@@ -634,18 +716,24 @@ fn run_shard_fused(
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut evals = Vec::with_capacity(jobs.len());
         for job in jobs.iter() {
-            evals.push(TreeLikelihood::new(&job.tree, &job.data, job.model.clone())?);
+            evals.push(workspaces.acquire(job)?);
         }
         let mut fused: Vec<FusedJob<'_>> = evals
             .iter_mut()
             .zip(jobs.iter())
-            .map(|(eval, job)| FusedJob {
+            .map(|((_, eval), job)| FusedJob {
                 eval,
                 tree: &job.tree,
                 dataset_token: job.dataset.0,
             })
             .collect();
-        evaluate_fused(&mut fused, backend, cache.as_mut())
+        let lnls = evaluate_fused(&mut fused, backend, cache.as_mut());
+        // Released even after an error (the per-job fallback reuses
+        // them): the next rebind overwrites whatever a failed pass left.
+        for workspace in evals {
+            workspaces.release(workspace);
+        }
+        lnls
     }));
     if let Some(c) = cache.as_mut() {
         let stats = c.take_stats();
@@ -754,12 +842,15 @@ fn evaluate_one(
     slot: &WorkerSlot,
     backend: &mut dyn PlfBackend,
     job: &Arc<Job>,
+    workspaces: &mut Workspaces,
 ) {
     let started = Instant::now();
     let wait = started.saturating_duration_since(job.submitted_at);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut eval = TreeLikelihood::new(&job.tree, &job.data, job.model.clone())?;
-        eval.log_likelihood(&job.tree, backend)
+        let (key, mut eval) = workspaces.acquire(job)?;
+        let lnl = eval.log_likelihood(&job.tree, backend);
+        workspaces.release((key, eval));
+        lnl
     }));
     let service = started.elapsed();
     match result {
@@ -897,5 +988,63 @@ fn respawn(shared: &Arc<PoolShared>, i: usize) {
         for job in orphans {
             shared.park_for_redirect(job);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{JobCell, Priority};
+    use plf_phylo::tree::NodeId;
+
+    fn job_on(dataset: u64) -> Job {
+        let ds = plf_seqgen::generate(plf_seqgen::DatasetSpec::new(4, 32), 5 + dataset);
+        Job {
+            id: JobId(dataset),
+            tenant: "t".into(),
+            priority: Priority::Normal,
+            dataset: DatasetId(dataset),
+            data: Arc::new(ds.data),
+            tree: ds.tree,
+            model: plf_phylo::model::SiteModel::jc69(),
+            submitted_at: Instant::now(),
+            deadline: None,
+            cancelled: Arc::new(AtomicBool::new(false)),
+            cell: JobCell::new(),
+            resolved: AtomicBool::new(false),
+            redirected: AtomicBool::new(false),
+            journal: None,
+        }
+    }
+
+    fn buffer(workspace: &Workspace) -> *const f32 {
+        workspace.1.clv(NodeId(0)).as_slice().as_ptr()
+    }
+
+    #[test]
+    fn workspaces_keep_exactly_the_last_shards_set() {
+        let (a, b) = (job_on(0), job_on(1));
+        let mut ws = Workspaces::default();
+        // A fused shard of two jobs on dataset 0.
+        let (first, second) = (ws.acquire(&a).unwrap(), ws.acquire(&a).unwrap());
+        let kept = [buffer(&first), buffer(&second)];
+        ws.release(first);
+        ws.release(second);
+        ws.end_shard();
+        // The next shard on the same key rebinds them, no allocation.
+        let again = ws.acquire(&a).unwrap();
+        assert!(kept.contains(&buffer(&again)));
+        ws.release(again);
+        ws.end_shard();
+        assert_eq!(ws.held.len(), 1, "only what the last shard used stays");
+        // A per-job shard of three jobs on dataset 1 reuses one
+        // workspace job after job; dataset 0's is dropped.
+        for _ in 0..3 {
+            let w = ws.acquire(&b).unwrap();
+            ws.release(w);
+        }
+        ws.end_shard();
+        assert_eq!(ws.held.len(), 1);
+        assert!(ws.held.iter().all(|(k, _)| k.dataset == DatasetId(1)));
     }
 }

@@ -12,7 +12,7 @@ use plf_phylo::alignment::PatternAlignment;
 use plf_phylo::model::SiteModel;
 use plf_phylo::tree::Tree;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Opaque handle to an alignment registered with the service; jobs
@@ -159,12 +159,43 @@ impl JobOutcome {
     }
 }
 
+/// The service's completion hook: one callback, installed at most once,
+/// that every [`JobCell`] of the service calls after publishing its
+/// outcome. A front end that multiplexes many tickets on one thread
+/// (the plf-net reactor) uses it to sleep until a ticket resolves
+/// instead of polling.
+#[derive(Default)]
+pub(crate) struct CompletionHook(OnceLock<Box<dyn Fn() + Send + Sync>>);
+
+impl CompletionHook {
+    /// Install `hook`; `false` if one is already installed.
+    pub(crate) fn install(&self, hook: Box<dyn Fn() + Send + Sync>) -> bool {
+        self.0.set(hook).is_ok()
+    }
+
+    fn fire(&self) {
+        if let Some(hook) = self.0.get() {
+            hook();
+        }
+    }
+}
+
+impl std::fmt::Debug for CompletionHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompletionHook")
+            .field("installed", &self.0.get().is_some())
+            .finish()
+    }
+}
+
 /// One-shot completion cell shared between a [`JobTicket`] and the
 /// dispatcher; the first writer wins and waiters are woken.
 #[derive(Debug, Default)]
 pub(crate) struct JobCell {
     slot: Mutex<Option<JobOutcome>>,
     done: Condvar,
+    /// Called once the outcome is published, with the slot unlocked.
+    hook: Option<Arc<CompletionHook>>,
 }
 
 impl JobCell {
@@ -172,13 +203,33 @@ impl JobCell {
         Arc::new(JobCell::default())
     }
 
+    /// A cell that calls `hook` when its outcome is published.
+    pub(crate) fn with_hook(hook: &Arc<CompletionHook>) -> Arc<JobCell> {
+        Arc::new(JobCell {
+            hook: Some(Arc::clone(hook)),
+            ..JobCell::default()
+        })
+    }
+
     /// Publish the outcome; later writers are ignored (a cancel racing
-    /// a completion keeps whichever resolved first).
+    /// a completion keeps whichever resolved first). The first writer
+    /// then calls the completion hook, after the slot guard is dropped:
+    /// the hook may write to a socket, which must not happen under a
+    /// lock a ticket poller takes.
     pub(crate) fn set(&self, outcome: JobOutcome) {
-        let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(outcome);
-            self.done.notify_all();
+        let first = {
+            let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
+            let first = slot.is_none();
+            if first {
+                *slot = Some(outcome);
+                self.done.notify_all();
+            }
+            first
+        };
+        if first {
+            if let Some(hook) = &self.hook {
+                hook.fire();
+            }
         }
     }
 
@@ -398,6 +449,29 @@ mod tests {
         cell.set(JobOutcome::DeadlineMissed); // ignored: already resolved
         assert_eq!(waiter.join().expect("waiter"), JobOutcome::Cancelled);
         assert_eq!(cell.try_get(), Some(JobOutcome::Cancelled));
+    }
+
+    #[test]
+    fn completion_hook_fires_once_per_cell_after_the_slot_is_released() {
+        use std::sync::atomic::AtomicUsize;
+        let hook = Arc::new(CompletionHook::default());
+        let cell = JobCell::with_hook(&hook);
+        cell.set(JobOutcome::Cancelled); // no hook installed yet: no call
+        let calls = Arc::new(AtomicUsize::new(0));
+        let cell = JobCell::with_hook(&hook);
+        {
+            let (calls, probe) = (Arc::clone(&calls), Arc::downgrade(&cell));
+            assert!(hook.install(Box::new(move || {
+                // The slot lock is free and the outcome visible.
+                let probe = probe.upgrade().expect("cell alive");
+                assert_eq!(probe.try_get(), Some(JobOutcome::Cancelled));
+                calls.fetch_add(1, Ordering::SeqCst);
+            })));
+        }
+        assert!(!hook.install(Box::new(|| {})), "one hook per service");
+        cell.set(JobOutcome::Cancelled);
+        cell.set(JobOutcome::DeadlineMissed); // ignored: no second call
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::dispatch::{PoolConfig, PoolShared, WorkerPool};
 use crate::health::{
     AdmissionController, BackendFactory, BreakerPolicy, BreakerState, ShedPolicy, WatchdogPolicy,
 };
-use crate::job::{DatasetId, Job, JobCell, JobId, JobOutcome, JobSpec, JobTicket};
+use crate::job::{CompletionHook, DatasetId, Job, JobCell, JobId, JobOutcome, JobSpec, JobTicket};
 use crate::journal::{AdmittedRecord, Journal, JournalConfig, JournalError};
 use crate::queue::{BoundedQueue, SubmitError};
 use crate::recovery::{remaining_deadline, scan, unix_nanos_now, RecoveryReport};
@@ -151,6 +151,8 @@ pub struct PlfService {
     pending_replay: Mutex<Vec<AdmittedRecord>>,
     /// The startup scan's partial report, completed by `recover`.
     recovery: Mutex<Option<RecoveryReport>>,
+    /// Called after every admitted job's outcome is published.
+    completion: Arc<CompletionHook>,
 }
 
 impl PlfService {
@@ -298,6 +300,7 @@ impl PlfService {
             dedup: Mutex::new(dedup_map),
             pending_replay: Mutex::new(pending_replay),
             recovery: Mutex::new(initial_report),
+            completion: Arc::new(CompletionHook::default()),
         })
     }
 
@@ -374,7 +377,7 @@ impl PlfService {
         self.counters.record_submitted(&spec.tenant);
         let id = JobId(self.next_job.fetch_add(1, Ordering::Relaxed));
         let cancelled = Arc::new(AtomicBool::new(false));
-        let cell = JobCell::new();
+        let cell = JobCell::with_hook(&self.completion);
         let submitted_at = Instant::now();
         let ticket = JobTicket::new(
             id,
@@ -460,6 +463,20 @@ impl PlfService {
                 Err(err)
             }
         }
+    }
+
+    /// Install the service's completion hook. `hook` runs on whichever
+    /// thread resolves a job (a worker, the scheduler, a submitter),
+    /// once per admitted job, after the outcome is journaled and visible
+    /// to [`JobTicket::try_wait`] and with no service lock held. It must
+    /// not block: an event loop that multiplexes many tickets uses it to
+    /// wake itself (plf-net's reactor writes one byte to a socket pair)
+    /// instead of polling every ticket on a timer.
+    ///
+    /// A service has one hook; returns `false`, leaving the first hook
+    /// in place, if one is already installed.
+    pub fn set_completion_hook(&self, hook: impl Fn() + Send + Sync + 'static) -> bool {
+        self.completion.install(Box::new(hook))
     }
 
     /// Open the scheduler gate (no-op unless constructed with
@@ -643,7 +660,7 @@ impl PlfService {
             .map_err(|err| format!("replay: journaled tree failed to parse: {err}"))?;
         let id = JobId(record.id);
         let cancelled = Arc::new(AtomicBool::new(false));
-        let cell = JobCell::new();
+        let cell = JobCell::with_hook(&self.completion);
         let submitted_at = Instant::now();
         let ticket = JobTicket::new(
             id,

@@ -8,6 +8,10 @@
 //! caller that returns before its last chunk finished, shows up as an
 //! lnL that differs from the scalar reference; every evaluation is
 //! compared bit for bit.
+//!
+//! The plfd service gets the same treatment from the client side: many
+//! submitters, fused shards on resident workspaces that are rebound
+//! from job to job, every result checked against the scalar reference.
 
 use plf_repro::phylo::fused::{evaluate_fused, FusedJob};
 use plf_repro::prelude::*;
@@ -24,6 +28,12 @@ const ROUNDS: usize = 120;
 const CELL_THREADS: usize = 4;
 /// Rounds per Cell thread; each round makes 4 evaluations.
 const CELL_ROUNDS: usize = 80;
+
+/// Client threads submitting concurrently to one plfd service.
+const SERVICE_CLIENTS: usize = 4;
+/// Rounds per client; each round submits every (alignment, tree) job
+/// twice, then waits for all of them.
+const SERVICE_ROUNDS: usize = 30;
 
 /// The serial scalar lnL of each data set.
 fn scalar_reference(data: &[Dataset], model: &SiteModel) -> Vec<f64> {
@@ -156,4 +166,103 @@ fn cell_spe_threads_stay_bit_exact_under_contention() {
     for (t, (_, s)) in results.iter().enumerate() {
         assert_eq!(*s, stats, "thread {t} billed different Cell work");
     }
+}
+
+#[test]
+fn plfd_fused_dispatch_stays_bit_exact_under_contention() {
+    // Two alignments of the same taxa and pattern count, so a resident
+    // workspace bound to one has the shape the other needs; trees with
+    // different topologies and leaf orders, so each rebind moves tips
+    // between slots. A workspace reused with stale tips, weights or
+    // constant masks returns another job's lnL.
+    let a = seqgen::generate(DatasetSpec::new(6, 300), 8);
+    let b = seqgen::generate(DatasetSpec::new(6, 300), 9);
+    assert_eq!(a.data.n_patterns(), b.data.n_patterns());
+    // `a.tree` with its leaf names rotated: the same slots, other taxa.
+    let mut rotated = a.tree.clone();
+    let leaves = rotated.leaves();
+    let names: Vec<Option<String>> = leaves
+        .iter()
+        .map(|&l| rotated.node(l).name.clone())
+        .collect();
+    for (k, &leaf) in leaves.iter().enumerate() {
+        rotated.node_mut(leaf).name = names[(k + 1) % names.len()].clone();
+    }
+    let trees = [&a.tree, &rotated, &b.tree];
+    let model = seqgen::default_model();
+    let backends: Vec<Box<dyn PlfBackend>> = vec![
+        Box::new(RayonBackend::new(2).unwrap()),
+        Box::new(RayonBackend::new(2).unwrap()),
+    ];
+    let service = PlfService::new(ServiceConfig::default(), backends);
+    let datasets = [
+        (service.register_dataset(a.data.clone()), &a.data),
+        (service.register_dataset(b.data.clone()), &b.data),
+    ];
+    let per_round = 2 * datasets.len() * trees.len();
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..SERVICE_CLIENTS)
+            .map(|c| {
+                let (service, datasets, model) = (&service, &datasets, &model);
+                s.spawn(move || {
+                    let mut failures = Vec::new();
+                    for round in 0..SERVICE_ROUNDS {
+                        // Every job gets its own branch lengths, so the
+                        // CLV cache misses and each job reads its tips.
+                        let jobs: Vec<_> = (0..per_round)
+                            .map(|k| {
+                                let i = k + c + round; // rotate how batches mix
+                                let (dataset, data) = datasets[i % datasets.len()];
+                                let mut tree = trees[i / datasets.len() % trees.len()].clone();
+                                let scale = 1.0
+                                    + 1e-3
+                                        * ((c * SERVICE_ROUNDS + round) * per_round + k + 1) as f64;
+                                for id in tree.branches() {
+                                    tree.node_mut(id).branch *= scale;
+                                }
+                                let spec = JobSpec::new(
+                                    format!("client-{c}"),
+                                    dataset,
+                                    tree.clone(),
+                                    model.clone(),
+                                );
+                                (service.submit(spec).unwrap(), tree, data)
+                            })
+                            .collect();
+                        for (k, (ticket, tree, data)) in jobs.into_iter().enumerate() {
+                            let mut eval = TreeLikelihood::new(&tree, data, model.clone()).unwrap();
+                            let want = eval.log_likelihood(&tree, &mut ScalarBackend).unwrap();
+                            match ticket.wait().ln_likelihood() {
+                                Some(got) if got.to_bits() == want.to_bits() => {}
+                                got => failures.push(format!(
+                                    "client {c} round {round} job {k}: {got:?} != {want}"
+                                )),
+                            }
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    let snap = service.snapshot();
+    service.shutdown();
+    let total = SERVICE_CLIENTS * SERVICE_ROUNDS * per_round;
+    assert!(
+        failures.is_empty(),
+        "{} of {total} jobs differ from the scalar reference:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert_eq!(snap.completed, total as u64);
+    assert!(
+        snap.batch_jobs > snap.batches,
+        "no multi-job batch formed ({} jobs in {} batches): the fused path went untested",
+        snap.batch_jobs,
+        snap.batches
+    );
 }

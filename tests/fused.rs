@@ -73,6 +73,68 @@ fn fused_matches_per_job_bitwise_on_every_backend() {
 }
 
 #[test]
+fn rebound_workspaces_match_fresh_bitwise_on_every_backend() {
+    // The plfd workers keep their last shard's workspaces and rebind
+    // them to the next shard's trees. Evaluate a different tree first
+    // (other topology and leaf order) so every internal slot and most
+    // tip slots hold stale values, then rebind and evaluate per job and
+    // fused: both must match fresh workspaces bit for bit.
+    let (ds, model, trees) = job_family(4);
+    let stale_tree = seqgen::generate(DatasetSpec::new(7, 48), 43).tree;
+    let stale_model = SiteModel::gtr_gamma4(GtrParams::jc69(), 0.4).unwrap();
+    for mut backend in all_backends().unwrap() {
+        let name = backend.name();
+        let fresh: Vec<f64> = trees
+            .iter()
+            .map(|tree| {
+                let mut eval = TreeLikelihood::new(tree, &ds.data, model.clone()).unwrap();
+                eval.log_likelihood(tree, backend.as_mut()).unwrap()
+            })
+            .collect();
+        let mut evals: Vec<TreeLikelihood> = trees
+            .iter()
+            .map(|_| {
+                let mut eval =
+                    TreeLikelihood::new(&stale_tree, &ds.data, stale_model.clone()).unwrap();
+                eval.log_likelihood(&stale_tree, backend.as_mut()).unwrap();
+                eval
+            })
+            .collect();
+        for (eval, tree) in evals.iter_mut().zip(&trees) {
+            eval.rebind(tree, &ds.data, model.clone()).unwrap();
+        }
+        let mut got: Vec<f64> = evals
+            .iter_mut()
+            .zip(&trees)
+            .map(|(eval, tree)| eval.log_likelihood(tree, backend.as_mut()).unwrap())
+            .collect();
+        for (eval, tree) in evals.iter_mut().zip(&trees) {
+            eval.rebind(&stale_tree, &ds.data, stale_model.clone())
+                .unwrap();
+            eval.log_likelihood(&stale_tree, backend.as_mut()).unwrap();
+            eval.rebind(tree, &ds.data, model.clone()).unwrap();
+        }
+        let mut jobs: Vec<FusedJob<'_>> = evals
+            .iter_mut()
+            .zip(&trees)
+            .map(|(eval, tree)| FusedJob {
+                eval,
+                tree,
+                dataset_token: 1,
+            })
+            .collect();
+        got.extend(evaluate_fused(&mut jobs, backend.as_mut(), None).unwrap());
+        for (i, (g, f)) in got.iter().zip(fresh.iter().cycle()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                f.to_bits(),
+                "{name} eval {i}: rebound {g} != fresh {f}"
+            );
+        }
+    }
+}
+
+#[test]
 fn fused_with_cache_matches_per_job_bitwise_on_every_backend() {
     // Second pass over identical jobs hits the CLV cache; served
     // entries must be bit-identical to recomputation on every engine.
